@@ -5,11 +5,11 @@
 //!
 //! ```text
 //! cargo run -p bench --release --bin exp_throughput -- [--preset quick|ci|paper|scale]
-//!     [--threads N] [--shards N] [--quant int8] [--microbatch N] [--json PATH]
+//!     [--threads N] [--shards N] [--quant int8] [--json PATH]
 //!     [--check-against REFERENCE.json] [--max-regress 0.20]
 //!     [--max-regress-speedup 0.30] [--max-regress-sharded 0.35]
 //!     [--max-regress-quant 0.30] [--min-quant-speedup X]
-//!     [--max-regress-microbatch 0.30] [--min-shard-scaling X]
+//!     [--min-shard-scaling X]
 //!     [--churn-flows N] [--churn-packets N] [--resident f32|int8]
 //!     [--max-regress-scale 0.35] [--max-grow-bytes-per-flow 0.25]
 //!     [--max-bytes-per-flow BYTES] [--max-telemetry-overhead X]
@@ -52,22 +52,6 @@
 //! run — a reference with a quant record can't be "passed" by simply not
 //! measuring).
 //!
-//! `--microbatch N` (N ≥ 2) additionally measures **cross-flow
-//! micro-batched streaming**: the same timestamp-ordered stream pushed
-//! through one `StreamScorer` whose pending GRU steps and AE windows are
-//! flushed as N-row batches through the GEMM kernels, at the run's
-//! precision (int8 under `--quant int8`, f32 otherwise) — against a
-//! freshly measured per-packet streaming baseline *at that same
-//! precision*. The two runs must produce **byte-identical** rendered
-//! verdict tables (micro-batching is a pure scheduling change); the run
-//! records `microbatch_pps`, `microbatch_speedup` (batched ÷ per-packet
-//! — machine-independent, like `quant_speedup`) and the flush-occupancy
-//! histogram. When the reference records a `microbatch_speedup` *and*
-//! this run passed `--microbatch`, the gate enforces it under
-//! `--max-regress-microbatch`; a run without `--microbatch` skips the
-//! gate with a notice (like the churn-phase gates — the reference file
-//! is shared with jobs that measure other phases).
-//!
 //! `--min-shard-scaling X` additionally fails the run when the sharded ÷
 //! single-thread streaming factor falls below `X` — the only check that
 //! catches "sharding silently serialized". It is core-count-dependent
@@ -106,8 +90,8 @@
 //! kernels (ratio ≈ 3.1 vs the ≈ 5.3 AVX2 reference) still fails.
 
 use bench::{
-    arg_value, check_bytes_per_flow, check_memory_regression, check_microbatch_regression,
-    check_quant_floor, check_quant_regression, check_scale_regression, check_shard_scaling_floor,
+    arg_value, check_bytes_per_flow, check_memory_regression, check_quant_floor,
+    check_quant_regression, check_scale_regression, check_shard_scaling_floor,
     check_sharded_regression, check_speedup_regression, check_telemetry_overhead,
     check_throughput_regression, evaluate_extended_families, render_table, train_all,
     ExtendedFamilyRow, Preset, ThroughputReference,
@@ -149,20 +133,6 @@ struct ThroughputReport {
     /// Sharded ÷ single-threaded streaming (the multi-core scaling
     /// factor; bounded by the machine's core count).
     shard_scaling: f64,
-    /// Pending-set capacity of the micro-batched streaming measurement
-    /// (`--microbatch N`); `0` when the run did not measure it.
-    microbatch: usize,
-    /// Packets/second of the micro-batched streaming engine at the run's
-    /// precision; `0.0` when not measured.
-    microbatch_pps: f64,
-    /// Micro-batched ÷ per-packet streaming packets/second at the same
-    /// precision; `0.0` when not measured. Machine-independent like
-    /// `quant_speedup` (back-to-back runs on one machine), and gated the
-    /// same way: a reference that records it demands a measuring run.
-    microbatch_speedup: f64,
-    /// Flush-occupancy histogram of the micro-batched run: entry `i`
-    /// counts flushes that carried `i + 1` rows. Empty when not measured.
-    microbatch_occupancy: Vec<u64>,
     /// Packets/second of the int8 quantized fused engine (`--quant
     /// int8`); `0.0` when the run did not measure it.
     clap_quant_pps: f64,
@@ -271,16 +241,6 @@ fn main() {
             std::process::exit(1);
         }
     };
-    let microbatch: usize = match arg_value(&args, "--microbatch") {
-        Some(v) => match v.parse::<usize>() {
-            Ok(n) if n >= 2 => n,
-            _ => {
-                eprintln!("invalid --microbatch value `{v}` (expected an integer ≥ 2)");
-                std::process::exit(1);
-            }
-        },
-        None => 0,
-    };
     let json_path =
         arg_value(&args, "--json").unwrap_or_else(|| "BENCH_throughput.json".to_string());
     let policy = match arg_value(&args, "--overload-policy") {
@@ -364,7 +324,7 @@ fn main() {
     // the exact count assert.
     let lossless = plan.is_empty() && policy == OverloadPolicy::Block;
 
-    let (fused, quant, unfused, streaming, micro, telem, b1, kitsune) = pool.install(|| {
+    let (fused, quant, unfused, streaming, telem, b1, kitsune) = pool.install(|| {
         // Warm-up pass so one-time costs (page faults, lazy init) don't
         // skew the first measurement. Engine precisions are pinned
         // explicitly so a NEURAL_QUANT override in the environment can't
@@ -422,9 +382,6 @@ fn main() {
         let t = Instant::now();
         let mut scorer = models.clap.stream_scorer_with(StreamConfig {
             quant: QuantMode::Off,
-            // Pinned off so a CLAP_MICROBATCH override in the environment
-            // can't silently batch the per-packet baseline.
-            microbatch: 0,
             ..StreamConfig::default()
         });
         for p in &stream {
@@ -462,7 +419,6 @@ fn main() {
         let run_telemetry = |attach: bool| {
             let mut scorer = models.clap.stream_scorer_with(StreamConfig {
                 quant: QuantMode::Off,
-                microbatch: 0,
                 ..StreamConfig::default()
             });
             if attach {
@@ -513,64 +469,6 @@ fn main() {
         overheads.sort_by(f64::total_cmp);
         let telem = (telem_off, telem_on, overheads[overheads.len() / 2]);
 
-        // Cross-flow micro-batched streaming vs a per-packet baseline at
-        // the same precision (int8 under --quant int8). Byte-identical
-        // rendered verdict tables are asserted, not assumed: batching is
-        // a scheduling change, never a numeric one.
-        let micro = (microbatch >= 2).then(|| {
-            let mode = if measure_quant {
-                QuantMode::Int8
-            } else {
-                QuantMode::Off
-            };
-            let run_stream = |cap: usize| {
-                let mut scorer = models.clap.stream_scorer_with(StreamConfig {
-                    quant: mode,
-                    microbatch: cap,
-                    ..StreamConfig::default()
-                });
-                let t = Instant::now();
-                for p in &stream {
-                    scorer.push(p);
-                }
-                let mut closed = scorer.drain_closed();
-                closed.extend(scorer.finish());
-                let elapsed = t.elapsed();
-                let occupancy = scorer.batch_occupancy().to_vec();
-                (
-                    elapsed,
-                    bench::verdict_table(&closed, usize::MAX),
-                    occupancy,
-                )
-            };
-            let _ = run_stream(0); // warm-up
-            let _ = run_stream(microbatch); // warm-up
-
-            // The speedup is a ratio of two one-second-scale wall-clock
-            // measurements, and a loaded box's run-to-run variance swamps
-            // a single pair. Alternate the two modes and keep the best of
-            // each: min-of-N discards interference spikes, and
-            // alternation keeps slow frequency/thermal drift from
-            // biasing one side.
-            let mut base_elapsed = Duration::MAX;
-            let mut mb_elapsed = Duration::MAX;
-            let mut occupancy = Vec::new();
-            for rep in 0..5 {
-                let (base, base_table, _) = run_stream(0);
-                let (mb, mb_table, occ) = run_stream(microbatch);
-                base_elapsed = base_elapsed.min(base);
-                mb_elapsed = mb_elapsed.min(mb);
-                if rep == 0 {
-                    assert_eq!(
-                        base_table, mb_table,
-                        "micro-batched streaming must render a byte-identical verdict table"
-                    );
-                    occupancy = occ;
-                }
-            }
-            (base_elapsed, mb_elapsed, occupancy)
-        });
-
         let t = Instant::now();
         let s_b1 = models.baseline1.score_connections(&corpus);
         let b1 = t.elapsed();
@@ -592,7 +490,7 @@ fn main() {
                 b.score
             );
         }
-        (fused, quant, unfused, streaming, micro, telem, b1, kitsune)
+        (fused, quant, unfused, streaming, telem, b1, kitsune)
     });
 
     // The RSS-sharded streaming engine runs outside the pinned pool: its
@@ -604,7 +502,6 @@ fn main() {
         queue_capacity: 1024,
         stream: StreamConfig {
             quant: QuantMode::Off,
-            microbatch: 0,
             ..StreamConfig::default()
         },
         overload: policy,
@@ -893,19 +790,6 @@ fn main() {
             ],
         );
     }
-    if let Some((base, batched, _)) = &micro {
-        let precision = if measure_quant { "int8" } else { "f32" };
-        table.push(vec![
-            format!("CLAP (streaming per-packet, {precision})"),
-            format!("{:.1}", pps(*base)),
-            format!("{:.1}", cps(*base)),
-        ]);
-        table.push(vec![
-            format!("CLAP (streaming micro-batched ≤{microbatch}, {precision})"),
-            format!("{:.1}", pps(*batched)),
-            format!("{:.1}", cps(*batched)),
-        ]);
-    }
     println!(
         "{}",
         render_table(&["Model", "Packets/Second", "Connections/Second"], &table)
@@ -937,32 +821,6 @@ fn main() {
             pps(fused)
         );
     }
-    if let Some((base, batched, occupancy)) = &micro {
-        println!(
-            "microbatch speedup: {:.2}x (≤{}-row batches {:.1} pkt/s vs per-packet {:.1} pkt/s, {})",
-            pps(*batched) / pps(*base),
-            microbatch,
-            pps(*batched),
-            pps(*base),
-            if measure_quant { "int8" } else { "f32" }
-        );
-        let flushes: u64 = occupancy.iter().sum();
-        let rows: u64 = occupancy
-            .iter()
-            .enumerate()
-            .map(|(i, &n)| (i as u64 + 1) * n)
-            .sum();
-        if flushes > 0 {
-            println!(
-                "microbatch occupancy: {:.1} rows/flush mean over {} flushes \
-                 (full-batch share {:.0}%)",
-                rows as f64 / flushes as f64,
-                flushes,
-                *occupancy.last().unwrap_or(&0) as f64 / flushes as f64 * 100.0
-            );
-        }
-    }
-
     // overhead = 1 − pps_on/pps_off = 1 − elapsed_off/elapsed_on per
     // pair; the reported number is the median pair (computed above).
     let telemetry_overhead = telem.2;
@@ -989,12 +847,6 @@ fn main() {
         shards,
         clap_sharded_pps: pps(sharded),
         shard_scaling: pps(sharded) / pps(streaming),
-        microbatch: if micro.is_some() { microbatch } else { 0 },
-        microbatch_pps: micro.as_ref().map_or(0.0, |(_, b, _)| pps(*b)),
-        microbatch_speedup: micro
-            .as_ref()
-            .map_or(0.0, |(base, b, _)| pps(*b) / pps(*base)),
-        microbatch_occupancy: micro.as_ref().map_or_else(Vec::new, |(_, _, o)| o.clone()),
         clap_quant_pps: quant.map_or(0.0, pps),
         quant_speedup: quant.map_or(0.0, |q| pps(q) / pps(fused)),
         sharded_dropped: health.dropped,
@@ -1168,54 +1020,7 @@ fn main() {
         } else {
             eprintln!("quant gate skipped: reference records no quant_speedup");
         }
-        // Fifth gate: cross-flow micro-batching, on the machine-neutral
-        // batched ÷ per-packet streaming ratio. Same contract as the
-        // churn-phase gates, not quant: the gate engages only when this
-        // run measured micro-batching (`--microbatch`), because the
-        // reference file is shared with jobs that never do (the
-        // memory-scale job measures the churn phase instead). The
-        // throughput CI job always passes `--microbatch`, so the gate
-        // cannot silently lapse where it matters.
-        let max_regress_microbatch: f64 = match arg_value(&args, "--max-regress-microbatch") {
-            Some(v) => match v.parse() {
-                Ok(m) => m,
-                Err(_) => {
-                    eprintln!(
-                        "regression gate error: invalid --max-regress-microbatch value `{v}`"
-                    );
-                    std::process::exit(1);
-                }
-            },
-            None => 0.30,
-        };
-        if let (Some(ref_microbatch), true) = (reference.microbatch_speedup, micro.is_some()) {
-            match check_microbatch_regression(
-                report.microbatch_speedup,
-                ref_microbatch,
-                max_regress_microbatch,
-            ) {
-                Ok(change) => eprintln!(
-                    "microbatch gate OK: {:.2}x vs reference {:.2}x \
-                     ({:+.1}% change, budget -{:.0}%)",
-                    report.microbatch_speedup,
-                    ref_microbatch,
-                    change * 100.0,
-                    max_regress_microbatch * 100.0
-                ),
-                Err(msg) => {
-                    eprintln!("THROUGHPUT REGRESSION: {msg}");
-                    std::process::exit(1);
-                }
-            }
-        } else if micro.is_none() && reference.microbatch_speedup.is_some() {
-            eprintln!(
-                "microbatch gate skipped: reference records a microbatch_speedup \
-                 but this run did not pass --microbatch"
-            );
-        } else {
-            eprintln!("microbatch gate skipped: reference records no microbatch_speedup");
-        }
-        // Sixth gate pair: the churn phase. Engaged only when this run
+        // Fifth gate pair: the churn phase. Engaged only when this run
         // measured it — unlike quant, a reference with scale numbers must
         // not fail the plain `ci` throughput job, which shares the
         // reference file but never runs the (minutes-long) churn phase.

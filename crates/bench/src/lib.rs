@@ -130,15 +130,6 @@ pub struct ThroughputReference {
     /// layout), so its growth budget can be tight. `None` for references
     /// recorded before the scale phase existed.
     pub bytes_per_flow: Option<f64>,
-    /// Micro-batched ÷ per-packet streaming packets/second when the
-    /// reference was recorded (`exp_throughput --microbatch N`). Both
-    /// runs share the corpus, precision and hardware, so the ratio is
-    /// machine-independent like `quant_speedup`; a drop past the budget
-    /// means cross-flow batching stopped paying for itself (a flush
-    /// policy regression, a gather/scatter cost creep, or the batched
-    /// kernels silently degrading to per-row calls). `None` for
-    /// references recorded before micro-batching existed.
-    pub microbatch_speedup: Option<f64>,
 }
 
 /// Deserialization targets for the reference generations (the vendored
@@ -175,11 +166,6 @@ struct ReferenceBytesPerFlowField {
     bytes_per_flow: f64,
 }
 
-#[derive(Deserialize)]
-struct ReferenceMicrobatchField {
-    microbatch_speedup: f64,
-}
-
 /// Parses an optional reference field: absent key → `None`, present but
 /// unparseable or non-finite → hard error. Silently downgrading a broken
 /// field to "absent" would disable its gate exactly when the file is
@@ -207,10 +193,9 @@ impl ThroughputReference {
     /// Parses a reference record, accepting every recorded generation:
     /// pps-only (PR 2), pps + `fusion_speedup` (PR 3), pps + speedup +
     /// `clap_sharded_pps` (PR 4), + `quant_speedup` (PR 5), and +
-    /// `microbatch_speedup` (PR 8). A record
-    /// that *mentions* an optional field but fails to parse it is a hard
-    /// error — silently downgrading would disable that gate exactly when
-    /// the file is broken.
+    /// `scale_pps`/`bytes_per_flow` (PR 7). A record that *mentions* an optional field but fails
+    /// to parse it is a hard error — silently downgrading would disable
+    /// that gate exactly when the file is broken.
     pub fn from_json(json: &str) -> Result<ThroughputReference, String> {
         let base = serde_json::from_str::<ReferencePpsOnly>(json)
             .map_err(|e| format!("cannot parse reference: {e:?}"))?;
@@ -232,11 +217,6 @@ impl ThroughputReference {
                 json,
                 "bytes_per_flow",
                 |r: ReferenceBytesPerFlowField| r.bytes_per_flow,
-            )?,
-            microbatch_speedup: optional_metric(
-                json,
-                "microbatch_speedup",
-                |r: ReferenceMicrobatchField| r.microbatch_speedup,
             )?,
         })
     }
@@ -396,24 +376,6 @@ pub fn check_shard_scaling_floor(scaling: f64, floor: f64) -> Result<(), String>
         ));
     }
     Ok(())
-}
-
-/// The cross-flow micro-batching gate: micro-batched ÷ per-packet
-/// streaming packets/second (`exp_throughput --microbatch N`). Machine
-/// speed cancels out of the ratio (both streaming runs share corpus,
-/// precision and hardware back to back), so a drop past the budget means
-/// the batching layer itself regressed — a faster runner cannot mask it.
-pub fn check_microbatch_regression(
-    current_speedup: f64,
-    reference_speedup: f64,
-    max_regress: f64,
-) -> Result<f64, String> {
-    check_metric_regression(
-        "microbatch speedup",
-        current_speedup,
-        reference_speedup,
-        max_regress,
-    )
 }
 
 /// The churn-phase throughput gate (`--preset scale`): packets/second
@@ -1138,50 +1100,6 @@ mod tests {
         assert!(check_quant_floor(-1.0, 1.0).is_err());
         assert!(check_quant_regression(f64::NAN, 1.8, 0.30).is_err());
         assert!(check_quant_regression(1.8, 0.0, 0.30).is_err());
-    }
-
-    #[test]
-    fn reference_with_microbatch_speedup_parses() {
-        let json = r#"{
-            "clap_fused_pps": 27767.36,
-            "quant_speedup": 1.8,
-            "microbatch_speedup": 1.45
-        }"#;
-        let reference = ThroughputReference::from_json(json).unwrap();
-        assert!((reference.microbatch_speedup.unwrap() - 1.45).abs() < 1e-9);
-    }
-
-    #[test]
-    fn reference_without_microbatch_speedup_skips_that_gate() {
-        let json = r#"{ "clap_fused_pps": 1000.0 }"#;
-        let reference = ThroughputReference::from_json(json).unwrap();
-        assert_eq!(reference.microbatch_speedup, None);
-    }
-
-    #[test]
-    fn malformed_microbatch_speedup_is_a_hard_error() {
-        for bad in [
-            r#"{ "clap_fused_pps": 1000.0, "microbatch_speedup": "2x" }"#,
-            r#"{ "clap_fused_pps": 1000.0, "microbatch_speedup": null }"#,
-        ] {
-            let err = ThroughputReference::from_json(bad).unwrap_err();
-            assert!(
-                err.contains("microbatch_speedup"),
-                "unexpected message: {err}"
-            );
-        }
-    }
-
-    #[test]
-    fn microbatch_gate_behaves_like_the_others() {
-        assert!(check_microbatch_regression(1.4, 1.5, 0.30).is_ok());
-        let err = check_microbatch_regression(0.9, 1.5, 0.30).unwrap_err();
-        assert!(
-            err.contains("microbatch speedup regressed"),
-            "unexpected message: {err}"
-        );
-        assert!(check_microbatch_regression(f64::NAN, 1.5, 0.30).is_err());
-        assert!(check_microbatch_regression(1.5, 0.0, 0.30).is_err());
     }
 
     #[test]

@@ -13,7 +13,9 @@
 //! `cargo test -p bench --test sharded_replay -- --ignored regenerate`
 //! after an intentional traffic-generator change, and commit the result.
 
-use clap_core::{Clap, ClapConfig, Fault, FaultPlan, OverloadPolicy, ShardConfig, StreamConfig};
+use clap_core::{
+    Clap, ClapConfig, Fault, FaultPlan, OverloadPolicy, QuantMode, ShardConfig, StreamConfig,
+};
 use net_packet::pcap::{read_pcap, write_pcap, write_pcap_raw};
 use net_packet::Packet;
 use std::sync::OnceLock;
@@ -52,14 +54,14 @@ fn load_capture() -> Vec<Packet> {
 }
 
 /// The full `--shards N` replay path of `exp_stream_pcap`: sharded
-/// scoring with default stream policy, rendered through the shared
+/// scoring under the given stream policy, rendered through the shared
 /// deterministic verdict table.
-fn sharded_table(clap: &Clap, packets: &[Packet], shards: usize) -> String {
+fn sharded_table(clap: &Clap, packets: &[Packet], shards: usize, stream: StreamConfig) -> String {
     let run = clap
         .sharded_scorer_with(ShardConfig {
             shards,
             queue_capacity: 1024,
-            stream: StreamConfig::default(),
+            stream,
             ..ShardConfig::default()
         })
         .score_stream(packets.iter());
@@ -69,95 +71,38 @@ fn sharded_table(clap: &Clap, packets: &[Packet], shards: usize) -> String {
 
 /// `exp_stream_pcap --shards 4` emits byte-identical verdict tables
 /// across two runs (scheduling independence) and against `--shards 1`
-/// and the plain single-threaded engine (shard-count independence).
+/// and the plain single-threaded engine (shard-count independence), at
+/// f32 and at int8.
 #[test]
 fn sharded_pcap_replay_is_byte_identical() {
     let clap = model();
     let packets = load_capture();
     assert!(!packets.is_empty());
 
-    let four_a = sharded_table(clap, &packets, 4);
-    let four_b = sharded_table(clap, &packets, 4);
-    assert_eq!(
-        four_a, four_b,
-        "two --shards 4 replays must render identical bytes"
-    );
-
-    let one = sharded_table(clap, &packets, 1);
-    assert_eq!(four_a, one, "--shards 4 must equal --shards 1");
-
-    // The unsharded engine (the exp_stream_pcap --shards 1 default path).
-    let mut plain = clap.stream_scorer();
-    for p in &packets {
-        plain.push(p);
-    }
-    let mut closed = plain.drain_closed();
-    closed.extend(plain.finish());
-    let unsharded = bench::verdict_table(&closed, usize::MAX);
-    assert_eq!(four_a, unsharded, "sharded must equal the plain engine");
-}
-
-/// Cross-flow micro-batching must be invisible in the rendered output:
-/// over the checked-in capture, the verdict table is **byte-identical**
-/// with batching on vs off — through both the plain engine and the
-/// sharded front end, at f32 and at int8 — for several flush budgets.
-#[test]
-fn microbatched_pcap_replay_is_byte_identical() {
-    let clap = model();
-    let packets = load_capture();
-    assert!(!packets.is_empty());
-
-    let table = |quant: clap_core::QuantMode, microbatch: usize, shards: usize| {
+    for quant in [QuantMode::Off, QuantMode::Int8] {
         let stream = StreamConfig {
             quant,
-            microbatch,
             ..StreamConfig::default()
         };
-        let closed = if shards == 0 {
-            let mut s = clap.stream_scorer_with(stream);
-            for p in &packets {
-                s.push(p);
-            }
-            let mut closed = s.drain_closed();
-            closed.extend(s.finish());
-            closed
-        } else {
-            clap.sharded_scorer_with(ShardConfig {
-                shards,
-                queue_capacity: 1024,
-                stream,
-                ..ShardConfig::default()
-            })
-            .score_stream(packets.iter())
-            .verdicts
-            .into_iter()
-            .map(|v| v.flow)
-            .collect()
-        };
-        bench::verdict_table(&closed, usize::MAX)
-    };
-
-    for quant in [clap_core::QuantMode::Off, clap_core::QuantMode::Int8] {
-        let per_packet = table(quant, 0, 0);
-        for cap in [2usize, 16, 64] {
-            assert_eq!(
-                per_packet,
-                table(quant, cap, 0),
-                "plain engine diverged at {quant:?} with microbatch {cap}"
-            );
-        }
-        for shards in [1usize, 4] {
-            assert_eq!(
-                table(quant, 0, shards),
-                table(quant, 16, shards),
-                "sharded engine diverged at {quant:?} with {shards} shards"
-            );
-        }
+        let four_a = sharded_table(clap, &packets, 4, stream.clone());
+        let four_b = sharded_table(clap, &packets, 4, stream.clone());
         assert_eq!(
-            per_packet,
-            table(quant, 16, 4),
-            "micro-batched sharded run diverged from the plain per-packet engine at {quant:?}"
+            four_a, four_b,
+            "two --shards 4 replays must render identical bytes"
         );
+
+        let one = sharded_table(clap, &packets, 1, stream.clone());
+        assert_eq!(four_a, one, "--shards 4 must equal --shards 1");
+
+        // The unsharded engine (the exp_stream_pcap --shards 1 default path).
+        let mut plain = clap.stream_scorer_with(stream);
+        for p in &packets {
+            plain.push(p);
+        }
+        let mut closed = plain.drain_closed();
+        closed.extend(plain.finish());
+        let unsharded = bench::verdict_table(&closed, usize::MAX);
+        assert_eq!(four_a, unsharded, "sharded must equal the plain engine");
     }
 }
 
@@ -291,13 +236,13 @@ fn protocol_mixed_pcap_replay_is_byte_identical() {
         "mixed capture must contain reassembled fragments"
     );
 
-    let four_a = sharded_table(clap, &packets, 4);
-    let four_b = sharded_table(clap, &packets, 4);
+    let four_a = sharded_table(clap, &packets, 4, StreamConfig::default());
+    let four_b = sharded_table(clap, &packets, 4, StreamConfig::default());
     assert_eq!(
         four_a, four_b,
         "two --shards 4 mixed replays must render identical bytes"
     );
-    let one = sharded_table(clap, &packets, 1);
+    let one = sharded_table(clap, &packets, 1, StreamConfig::default());
     assert_eq!(four_a, one, "--shards 4 must equal --shards 1");
 
     let mut plain = clap.stream_scorer();

@@ -207,9 +207,6 @@ pub struct ShardConfig {
     /// Flow-table policy applied *per shard* (each worker runs its own
     /// [`StreamScorer`] under this config). Note `max_flows` is therefore
     /// a per-shard bound: total tracked flows ≤ `shards × max_flows`.
-    /// `microbatch` likewise batches *within* each shard; an idle shard
-    /// flushes its pending batch immediately, and end-of-stream drain
-    /// flushes before finalizing, so batching never changes verdicts.
     pub stream: StreamConfig,
     /// What to do with a packet whose shard's ring is full.
     pub overload: OverloadPolicy,
@@ -803,14 +800,6 @@ fn shard_worker<'p>(
                 supervised(&mut scorer, &mut out, item);
             }
             break;
-        }
-        // Going idle: score any pending micro-batched work now instead
-        // of letting it wait on further traffic (flushing never closes a
-        // flow, so there are no verdicts to drain here). Supervised like
-        // a push — a flush panic rebuilds the flow table.
-        if catch_unwind(AssertUnwindSafe(|| scorer.flush_pending())).is_err() {
-            telemetry.restart();
-            scorer.reset();
         }
         backoff.snooze();
     }

@@ -40,76 +40,6 @@
 //!   flows through identical code, and within either precision streaming
 //!   remains exactly equal to batch scoring at that precision.
 //!
-//! # Cross-flow micro-batching
-//!
-//! With [`StreamConfig::microbatch`] ≥ 2 the scorer stops scoring each
-//! packet's GRU step / AE window immediately and instead *continuously
-//! batches* ready work across concurrent flows — the same trick
-//! inference servers use to fill GEMM lanes from many concurrent
-//! requests. Per packet, only the cheap per-flow bookkeeping runs
-//! inline (TCP tracking, feature extraction, timers — everything
-//! teardown and eviction decisions depend on); the packet's neural work
-//! is staged into a pending set keyed by slab handle: its GRU input
-//! row and the feature part of its profile row. A bursty flow may
-//! stage *several* consecutive packets — each item records its
-//! position (`round`) in its flow's chain. A **flush** then scores
-//! the whole set in chain rounds: round `r` gathers the hidden state
-//! of every item that is the `r`-th staged packet of its flow
-//! (dequantized from the resident arena under [`ResidentMode::Int8`]),
-//! runs one [`neural::PackedGru::step_batch`] over them and scatters
-//! the states back (requantized in int8 resident mode), so round
-//! `r + 1` reads exactly the states round `r` produced — the
-//! cross-packet GRU dependency runs *between* rounds, never inside a
-//! GEMM. Ring stores happen per item as its round completes, window
-//! rows accumulate across rounds, and one batched autoencoder pass
-//! scores every completed window at the end.
-//!
-//! **Flush policy.** The pending set flushes when it reaches
-//! [`StreamConfig::microbatch`] rows (batch full); when a pending
-//! set has aged [`StreamConfig::microbatch_wait`] stream packets
-//! (latency budget); always at the top of flow finalization (teardown,
-//! length cap, idle/capacity eviction, linger expiry, [`finish`]) so
-//! verdict timing and content never depend on batching; and on demand
-//! via [`flush_pending`] (the sharded engine calls it when a shard
-//! goes idle). Chaining means a same-flow *collision never forces a
-//! flush*: back-to-back packets of one flow — over a third of the ci
-//! corpus — used to drain the whole set as undersized batches; now
-//! they queue behind each other and the set keeps filling to
-//! capacity.
-//!
-//! **Ordering / finalization invariants.** Tracker state, packet
-//! counts and `last_seen` advance at *enqueue* time, so teardown,
-//! length-cap and eviction decisions — and therefore the order of the
-//! closed-flow queue — are identical with batching on or off. Rounds
-//! replay each flow's staged packets in arrival order, and a chained
-//! item's window is assembled only after the previous round stored
-//! its predecessor's ring row, so the ring is exactly "as of packet
-//! `t − 1`" when packet `t`'s window forms and each flow's
-//! window-error log fills in packet order. Every batched row runs
-//! through the same per-row kernels as the per-packet path (1-row GEMM
-//! == matvec; per-row activation quantization at int8; hidden states
-//! round-trip through the resident arena between chained steps exactly
-//! as they do between per-packet steps), making micro-batched
-//! streaming **bitwise identical** to per-packet streaming at both
-//! precisions — pinned by proptests and a pcap regression test. The
-//! one observable difference: [`push`] returns `None` for a packet
-//! whose window error is still pending (the error surfaces in the
-//! flow's [`ClosedFlow`] log instead).
-//!
-//! **Measured reality check.** Because exactness pins every batched
-//! row to the per-packet kernels, batching can only amortize per-call
-//! overhead — and with CLAP-sized models resident in L2, that
-//! overhead is already small: on a single core at the ci preset the
-//! measured speedup is ≈1.07× (avx512vnni) and ≈1.0× (avx2) at 12.8
-//! rows/flush mean occupancy. The win this layer is built for arrives
-//! when model weights outgrow cache and each flush streams them once
-//! per *batch* instead of once per *packet*; see ROADMAP for the full
-//! numbers and the variants that measured slower.
-//!
-//! [`finish`]: StreamScorer::finish
-//! [`flush_pending`]: StreamScorer::flush_pending
-//! [`push`]: StreamScorer::push
-//!
 //! # Flow-table substrate
 //!
 //! The table is built for millions of concurrent flows: a dense slab with
@@ -229,11 +159,10 @@ use clap_telemetry::hist::Stage;
 use clap_telemetry::{StageHists, StageRecorder, StreamCells};
 use net_packet::{CanonicalKey, Direction, Endpoint, FlowKey, Packet, TcpFlags};
 use neural::{
-    dequantize_activations_into, quantize_activations, ActQuant, AeEngine, AeWorkspace,
-    GruBatchScratch, GruEngine, GruStepScratch, Matrix, QuantMode,
+    dequantize_activations_into, quantize_activations, ActQuant, AeEngine, AeWorkspace, GruEngine,
+    GruStepScratch, Matrix, QuantMode,
 };
 use std::collections::HashMap;
-use std::sync::OnceLock;
 use tcp_state::{FlowTracker, TcpState};
 
 /// How idle (and TIME_WAIT-linger) expiry walks the flow table.
@@ -309,29 +238,12 @@ pub struct StreamConfig {
     ///
     /// [`quant`]: StreamConfig::quant
     pub resident: ResidentMode,
-    /// Cross-flow micro-batch capacity (see the module docs' design
-    /// note): collect up to this many ready per-packet work items
-    /// across flows and flush them through one batched GEMM. `0` or
-    /// `1` scores every packet immediately — the historical per-packet
-    /// path. Defaults to the `CLAP_MICROBATCH` environment variable
-    /// (unset or unparsable = off), read once per process.
+    /// Ignored: the scorer always scores each packet as it arrives.
+    /// Kept, with [`microbatch_wait`](StreamConfig::microbatch_wait), so
+    /// struct literals that still name it keep compiling.
     pub microbatch: usize,
-    /// Latency budget: flush a non-empty micro-batch after this many
-    /// subsequent stream packets even if it never fills. Ignored when
-    /// [`microbatch`](StreamConfig::microbatch) is off.
+    /// Ignored, like [`microbatch`](StreamConfig::microbatch).
     pub microbatch_wait: usize,
-}
-
-/// Process-wide `CLAP_MICROBATCH` default for
-/// [`StreamConfig::microbatch`], parsed once.
-fn microbatch_env_default() -> usize {
-    static DEFAULT: OnceLock<usize> = OnceLock::new();
-    *DEFAULT.get_or_init(|| {
-        std::env::var("CLAP_MICROBATCH")
-            .ok()
-            .and_then(|v| v.trim().parse().ok())
-            .unwrap_or(0)
-    })
 }
 
 impl Default for StreamConfig {
@@ -347,7 +259,7 @@ impl Default for StreamConfig {
             quant: QuantMode::active(),
             eviction: EvictionMode::default(),
             resident: ResidentMode::default(),
-            microbatch: microbatch_env_default(),
+            microbatch: 0,
             microbatch_wait: 64,
         }
     }
@@ -446,12 +358,6 @@ const FLAG_LIVE: u8 = 1;
 /// Slot flag: flow reached TIME_WAIT and is lingering (timer runs on
 /// [`StreamConfig::time_wait`] instead of the idle timeout).
 const FLAG_LINGER: u8 = 1 << 1;
-/// Slot flag: the flow has at least one packet staged in the pending
-/// micro-batch. Consecutive packets chain (see [`PendItem::round`]);
-/// the flag marks that the flow's resident state is stale until the
-/// next flush.
-const FLAG_PENDING: u8 = 1 << 2;
-
 /// How many slab entries the capacity evictor probes before dropping the
 /// stalest (conntrack's `early_drop` idea: O(1) bounded work instead of a
 /// full LRU structure).
@@ -834,89 +740,6 @@ impl Wheel {
     }
 }
 
-/// One staged packet of one flow in the pending micro-batch.
-#[derive(Debug, Clone, Copy)]
-struct PendItem {
-    /// Slab handle of the flow.
-    handle: u32,
-    /// The packet's 0-based index within its flow.
-    t: u32,
-    /// Position in its flow's pending chain: the `round`-th staged
-    /// packet of this flow. Flushes process rounds in order, so packet
-    /// `t`'s GRU step always consumes the state packet `t − 1`
-    /// produced.
-    round: u32,
-    /// Whether this packet completes a stacked window (`t + 1 ≥ stack`).
-    window: bool,
-}
-
-/// Cross-flow micro-batch staging (see the module docs' design note).
-/// All matrices grow one row per enqueue and truncate at the next
-/// cycle's first enqueue; steady-state batching allocates nothing.
-#[derive(Debug)]
-struct MicroBatcher {
-    /// Flush threshold ([`StreamConfig::microbatch`]; < 2 disables).
-    cap: usize,
-    /// Latency budget ([`StreamConfig::microbatch_wait`]).
-    wait: usize,
-    /// Stream packets pushed since the pending set became non-empty.
-    age: usize,
-    items: Vec<PendItem>,
-    /// Row `b`: item `b`'s GRU input (the packet's base features).
-    xs: Matrix,
-    /// Round-local GRU input gather: row `k` is the `k`-th item of the
-    /// round being flushed (items of one round are rarely contiguous
-    /// in `xs`, and the batched step wants a dense matrix).
-    rxs: Matrix,
-    /// Round-local hidden states, gathered from the resident arena at
-    /// flush time (the previous round's scatter already landed there),
-    /// updated in place by the batched step, scattered back.
-    hs: Matrix,
-    /// Update / reset gate outputs of the batched step, row per
-    /// round-local item.
-    zs: Matrix,
-    rs: Matrix,
-    /// Row `b`: item `b`'s profile row (features ‖ z ‖ r). The feature
-    /// part is written at enqueue, the gate part at flush.
-    rows: Matrix,
-    /// The stacked windows completed by the flushing batch, one row per
-    /// item with [`PendItem::window`] set, in round-major order.
-    windows: Matrix,
-    /// Slab handle owning each `windows` row, for distributing the
-    /// batched reconstruction errors after the rounds run.
-    win_flows: Vec<u32>,
-    scratch: GruBatchScratch,
-    /// Lifetime flush-size histogram: `occupancy[b − 1]` counts flushes
-    /// of exactly `b` rows. Survives [`StreamScorer::reset`], like
-    /// [`StreamStats`].
-    occupancy: Vec<u64>,
-}
-
-impl MicroBatcher {
-    fn new(cap: usize, wait: usize) -> MicroBatcher {
-        MicroBatcher {
-            cap,
-            wait: wait.max(1),
-            age: 0,
-            items: Vec::new(),
-            xs: Matrix::default(),
-            rxs: Matrix::default(),
-            hs: Matrix::default(),
-            zs: Matrix::default(),
-            rs: Matrix::default(),
-            rows: Matrix::default(),
-            windows: Matrix::default(),
-            win_flows: Vec::new(),
-            scratch: GruBatchScratch::new(),
-            occupancy: vec![0; cap],
-        }
-    }
-
-    fn enabled(&self) -> bool {
-        self.cap >= 2
-    }
-}
-
 /// Online per-flow scoring session over one interleaved packet stream.
 /// Create via [`Clap::stream_scorer`] (or
 /// [`Clap::stream_scorer_with`] for a custom [`StreamConfig`]); one
@@ -961,9 +784,6 @@ pub struct StreamScorer<'a> {
     h_scratch: Vec<f32>,
     /// Activation-code staging for resident-int8 stores.
     code_scratch: Vec<u8>,
-    /// Cross-flow micro-batch staging (inert when
-    /// [`StreamConfig::microbatch`] < 2).
-    mb: MicroBatcher,
     /// Handles detached by the last wheel advance.
     fired: Vec<u32>,
     /// Max packet timestamp seen (the stream clock).
@@ -991,7 +811,6 @@ impl Clap {
             shortest = shortest.min(config.time_wait);
         }
         let granularity = (shortest / 512.0).clamp(1e-3, 60.0);
-        let mb = MicroBatcher::new(config.microbatch, config.microbatch_wait);
         StreamScorer {
             clap: self,
             builder: ProfileBuilder::new(self.config.stack),
@@ -1019,7 +838,6 @@ impl Clap {
             row: Vec::new(),
             h_scratch: Vec::new(),
             code_scratch: Vec::new(),
-            mb,
             fired: Vec::new(),
             clock: 0.0,
             packets_since_sweep: 0,
@@ -1041,10 +859,7 @@ impl StreamScorer<'_> {
     /// order once orientation resolves, and the error returned is that of
     /// the latest completed window. Flows torn down by this packet (TCP
     /// close, length cap) are finalized and queued for
-    /// [`drain_closed`](Self::drain_closed). Under micro-batching
-    /// ([`StreamConfig::microbatch`] ≥ 2) the window error is usually
-    /// still pending when `push` returns, so this returns `None` and the
-    /// error surfaces in the flow's [`ClosedFlow`] log instead.
+    /// [`drain_closed`](Self::drain_closed).
     pub fn push(&mut self, p: &Packet) -> Option<f32> {
         let tag = self.auto_seq;
         self.push_tagged(p, tag)
@@ -1061,14 +876,6 @@ impl StreamScorer<'_> {
     pub fn push_tagged(&mut self, p: &Packet, tag: u64) -> Option<f32> {
         self.auto_seq = self.auto_seq.max(tag.wrapping_add(1));
         self.clock = self.clock.max(p.timestamp);
-        if !self.mb.items.is_empty() {
-            // Latency budget: a pending micro-batch may wait at most
-            // `microbatch_wait` stream packets before scoring.
-            self.mb.age += 1;
-            if self.mb.age >= self.mb.wait {
-                self.flush_batch();
-            }
-        }
         self.packets_since_sweep += 1;
         if self.packets_since_sweep >= self.config.sweep_interval.max(1) {
             self.packets_since_sweep = 0;
@@ -1173,24 +980,11 @@ impl StreamScorer<'_> {
         last
     }
 
-    /// Runs one packet of an oriented flow through the scoring engine
-    /// (immediately, or staged into the pending micro-batch) and applies
-    /// the teardown / length-cap / TIME_WAIT-linger policy. The policy
-    /// inputs — tracker state, packet count — advance at enqueue time,
-    /// so its decisions are identical with batching on or off; if it
-    /// closes the flow, [`close_flow`](Self::close_flow) flushes the
-    /// pending batch first, scoring this packet before finalization.
+    /// Runs one packet of an oriented flow through the scoring engine and
+    /// applies the teardown / length-cap / TIME_WAIT-linger policy.
     fn score_packet(&mut self, h: u32, p: &Packet) -> Option<f32> {
         let hi = h as usize;
-        let emitted = if self.mb.enabled() {
-            self.enqueue_one(hi, p);
-            if self.mb.items.len() >= self.mb.cap {
-                self.flush_batch();
-            }
-            None
-        } else {
-            self.advance_one(hi, p)
-        };
+        let emitted = self.advance_one(hi, p);
         let slot = &self.slab[hi];
         let mut torn_down = false;
         let mut start_linger = false;
@@ -1326,235 +1120,6 @@ impl StreamScorer<'_> {
         emitted
     }
 
-    /// Stages one packet of an oriented flow into the pending
-    /// micro-batch: TCP tracking and feature extraction run now (so
-    /// teardown and eviction decisions stay packet-exact); the GRU step
-    /// and the window's autoencoder pass run at the next flush. Mirrors
-    /// the pre-step half of [`advance_one`](Self::advance_one). A flow
-    /// that already has staged packets chains behind them (the scan for
-    /// its chain depth is bounded by the batch capacity).
-    fn enqueue_one(&mut self, hi: usize, p: &Packet) {
-        let Self {
-            clap,
-            builder,
-            gru,
-            slab,
-            fv,
-            mb,
-            stages,
-            ..
-        } = self;
-        let mut clock = stages.sample();
-        let stack = builder.stack;
-
-        let slot = &mut slab[hi];
-        let dir = slot
-            .key
-            .direction_of(p)
-            .unwrap_or(Direction::ClientToServer);
-        slot.tracker.process(p, dir);
-        slot.extractor.push_into(p, dir, fv);
-        let t = slot.packets as usize;
-        slot.packets += 1;
-        slot.bytes += p.wire_len() as u64;
-        let round = if slot.flags & FLAG_PENDING != 0 {
-            mb.items.iter().filter(|it| it.handle == hi as u32).count() as u32
-        } else {
-            slot.flags |= FLAG_PENDING;
-            0
-        };
-
-        let b = mb.items.len();
-        mb.rows.resize(b + 1, PROFILE_LEN);
-        let (feat, _) = mb.rows.row_mut(b).split_at_mut(NUM_PACKET);
-        clap.ranges.write_packet_features(fv, feat);
-        mb.xs.resize(b + 1, gru.input_size());
-        mb.xs.row_mut(b).copy_from_slice(&fv.base);
-        mb.items.push(PendItem {
-            handle: hi as u32,
-            t: t as u32,
-            round,
-            window: t + 1 >= stack,
-        });
-        if let Some(c) = clock.as_mut() {
-            c.lap(Stage::Extract);
-        }
-    }
-
-    /// Scores every pending micro-batched item in chain rounds: round
-    /// `r` gathers the hidden state of each flow's `r`-th staged packet
-    /// from the resident arena (round `r − 1`'s scatter already landed
-    /// there), runs one batched GRU step over the gathered rows,
-    /// scatters the states back and does the per-item gate copy, window
-    /// assembly and ring store; one batched autoencoder pass then
-    /// scores every completed window across all rounds. Every row
-    /// reproduces the per-packet path bitwise (see the module design
-    /// note); never closes a flow, so it is safe to call from
-    /// [`close_flow`](Self::close_flow).
-    fn flush_batch(&mut self) {
-        if self.mb.items.is_empty() {
-            return;
-        }
-        let Self {
-            gru,
-            ae,
-            builder,
-            slab,
-            resident,
-            ae_ws,
-            err_scratch,
-            code_scratch,
-            mb,
-            stages,
-            ..
-        } = self;
-        // Batched work amortizes across flows, so time the whole flush
-        // (per-stage) rather than sampling individual packets.
-        let mut clock = stages.start();
-        let stack = builder.stack;
-        let hidden = gru.hidden_size();
-        let ring_rows = stack - 1;
-        let MicroBatcher {
-            age,
-            items,
-            xs,
-            rxs,
-            hs,
-            zs,
-            rs,
-            rows,
-            windows,
-            win_flows,
-            scratch,
-            occupancy,
-            ..
-        } = mb;
-
-        windows.resize(0, stack * PROFILE_LEN);
-        win_flows.clear();
-        let mut round = 0u32;
-        let mut remaining = items.len();
-        while remaining > 0 {
-            // Gather this round's items into dense matrices. The scans
-            // are bounded by the batch capacity, and chains deeper than
-            // one round exist only for flows that sent back-to-back
-            // packets since the last flush.
-            let b = items.iter().filter(|it| it.round == round).count();
-            rxs.resize(b, gru.input_size());
-            hs.resize(b, hidden);
-            let mut k = 0;
-            for (i, item) in items.iter().enumerate() {
-                if item.round != round {
-                    continue;
-                }
-                let hi = item.handle as usize;
-                rxs.row_mut(k).copy_from_slice(xs.row(i));
-                match resident {
-                    ResidentArena::F32 { h, .. } => hs
-                        .row_mut(k)
-                        .copy_from_slice(&h[hi * hidden..(hi + 1) * hidden]),
-                    ResidentArena::Int8 { h, hq, .. } => dequantize_activations_into(
-                        &h[hi * hidden..(hi + 1) * hidden],
-                        hq[hi],
-                        hs.row_mut(k),
-                    ),
-                }
-                k += 1;
-            }
-
-            gru.step_batch(rxs, hs, scratch, zs, rs);
-
-            let mut k = 0;
-            for (i, item) in items.iter().enumerate() {
-                if item.round != round {
-                    continue;
-                }
-                let hi = item.handle as usize;
-                match resident {
-                    ResidentArena::F32 { h, .. } => {
-                        h[hi * hidden..(hi + 1) * hidden].copy_from_slice(hs.row(k));
-                    }
-                    ResidentArena::Int8 { h, hq, .. } => {
-                        hq[hi] = quantize_activations(hs.row(k), code_scratch);
-                        h[hi * hidden..(hi + 1) * hidden].copy_from_slice(code_scratch);
-                    }
-                }
-                let row = rows.row_mut(i);
-                let (_, gates) = row.split_at_mut(NUM_PACKET);
-                let (z, r) = gates.split_at_mut(hidden);
-                z.copy_from_slice(zs.row(k));
-                r.copy_from_slice(rs.row(k));
-                let t = item.t as usize;
-                if item.window {
-                    // The flow's ring is exactly "as of packet t − 1"
-                    // here (its previous packet, if staged, stored its
-                    // row in the previous round), so assemble the
-                    // window before storing row t.
-                    let w = windows.rows;
-                    windows.resize(w + 1, stack * PROFILE_LEN);
-                    let dst = windows.row_mut(w);
-                    let packets = t + 1;
-                    for j in 0..ring_rows {
-                        let rj = (packets - stack + j) % ring_rows;
-                        resident.read_ring_row(
-                            hi * ring_rows + rj,
-                            &mut dst[j * PROFILE_LEN..(j + 1) * PROFILE_LEN],
-                        );
-                    }
-                    dst[ring_rows * PROFILE_LEN..].copy_from_slice(rows.row(i));
-                    win_flows.push(item.handle);
-                }
-                if ring_rows > 0 {
-                    resident.store_ring_row(
-                        hi * ring_rows + t % ring_rows,
-                        rows.row(i),
-                        code_scratch,
-                    );
-                }
-                k += 1;
-            }
-            remaining -= b;
-            round += 1;
-        }
-        if let Some(c) = clock.as_mut() {
-            c.lap(Stage::Gru);
-        }
-
-        err_scratch.clear();
-        if windows.rows > 0 {
-            ae.reconstruction_errors_into(windows, ae_ws, err_scratch);
-        }
-        // Round-major distribution preserves each flow's packet order
-        // (a flow's windows sit in consecutive rounds).
-        for (k, &h) in win_flows.iter().enumerate() {
-            slab[h as usize].window_errors.push(err_scratch[k]);
-        }
-        if let Some(c) = clock.as_mut() {
-            c.lap(Stage::AeWindow);
-        }
-        for item in items.iter() {
-            slab[item.handle as usize].flags &= !FLAG_PENDING;
-        }
-        occupancy[items.len() - 1] += 1;
-        items.clear();
-        *age = 0;
-    }
-
-    /// Flushes any pending micro-batched work immediately — a no-op when
-    /// micro-batching is off or nothing is pending. The sharded engine
-    /// calls this when a shard's ingest ring goes idle, so staged
-    /// packets never wait on further traffic to be scored.
-    pub fn flush_pending(&mut self) {
-        self.flush_batch();
-    }
-
-    /// Lifetime micro-batch flush-size histogram: entry `b` counts
-    /// flushes of exactly `b + 1` rows. Empty when micro-batching is
-    /// off.
-    pub fn batch_occupancy(&self) -> &[u64] {
-        &self.mb.occupancy
-    }
-
     /// Currently tracked (live) flows.
     pub fn live_flows(&self) -> usize {
         self.flows.len()
@@ -1642,8 +1207,7 @@ impl StreamScorer<'_> {
     /// resident arenas, wheel and the live flows' error logs / orient
     /// buffers. O(slab) — meant for periodic sampling, not the hot path.
     /// Excludes the pending-verdict queue (drained by the caller) and the
-    /// shared scratch, micro-batch staging included (constant-size —
-    /// bounded by the batch capacity — and flow-independent).
+    /// shared scratch (constant-size and flow-independent).
     pub fn mem_bytes(&self) -> usize {
         use std::mem::size_of;
         // hashbrown resizes at 7/8 load; one ctrl byte per bucket.
@@ -1709,11 +1273,6 @@ impl StreamScorer<'_> {
         self.fired.clear();
         self.probe_cursor = 0;
         self.packets_since_sweep = 0;
-        // Staged micro-batch items reference slab handles that no longer
-        // exist; drop them wholesale (the occupancy histogram survives,
-        // like the stats).
-        self.mb.items.clear();
-        self.mb.age = 0;
         self.cells.live_sync(0);
     }
 
@@ -1886,10 +1445,6 @@ impl StreamScorer<'_> {
     /// exists).
     fn close_flow(&mut self, h: u32, reason: CloseReason) {
         let hi = h as usize;
-        // Any pending micro-batched work — this flow's staged packets
-        // included — scores before finalization, so verdict content and
-        // timing never depend on batching.
-        self.flush_batch();
         // A flow evicted while still orientation-buffering scores its held
         // packets now, under the provisional (first-packet) orientation —
         // the same key the offline reassembler would use for a capture
@@ -2460,119 +2015,57 @@ mod tests {
         assert_eq!(scorer.live_flows(), 1, "the SYN opened incarnation 2");
     }
 
-    /// Micro-batched streaming must be *byte-identical* to per-packet
-    /// streaming: same closed-flow order, reasons and arrivals, bitwise
-    /// equal window errors and scores — at f32 weights, int8 weights and
-    /// int8 resident state, across batch capacities.
+    /// `push`'s return contract: every packet that completes a window
+    /// returns that window's error, so a flow's `Some` values, in order,
+    /// are exactly its closed window-error log — at f32 and int8 weights
+    /// and at int8 resident state.
     #[test]
-    fn microbatched_streaming_is_bitwise_per_packet() {
+    fn push_returns_every_window_error_in_order() {
         let clap = model();
         let corpus = traffic_gen::dataset(937, 10);
-        let run = |microbatch: usize, quant, resident| {
-            let mut scorer = clap.stream_scorer_with(StreamConfig {
-                microbatch,
-                microbatch_wait: 7,
-                quant,
-                resident,
-                ..StreamConfig::default()
-            });
-            let longest = corpus.iter().map(Connection::len).max().unwrap();
-            for i in 0..longest {
-                for conn in &corpus {
-                    if let Some(p) = conn.packets.get(i) {
-                        scorer.push(p);
-                    }
-                }
-            }
-            scorer.finish()
-        };
+        let stack = clap.config.stack;
         for (quant, resident) in [
             (QuantMode::Off, ResidentMode::F32),
             (QuantMode::Int8, ResidentMode::F32),
             (QuantMode::Int8, ResidentMode::Int8),
         ] {
-            let base = run(0, quant, resident);
-            for cap in [2usize, 4, 16] {
-                let batched = run(cap, quant, resident);
-                assert_eq!(base.len(), batched.len(), "cap {cap}");
-                for (a, b) in base.iter().zip(&batched) {
-                    assert_eq!(a.key, b.key, "close order (cap {cap})");
-                    assert_eq!(a.packets, b.packets);
-                    assert_eq!(a.reason, b.reason);
-                    assert_eq!(a.arrival, b.arrival);
-                    assert_eq!(
-                        a.scored.window_errors, b.scored.window_errors,
-                        "window errors must be bitwise equal (cap {cap})"
-                    );
-                    assert_eq!(a.scored.score.to_bits(), b.scored.score.to_bits());
-                    assert_eq!(a.scored.peak_window, b.scored.peak_window);
-                    assert_eq!(a.scored.peak_packet, b.scored.peak_packet);
+            let mut scorer = clap.stream_scorer_with(StreamConfig {
+                quant,
+                resident,
+                ..no_teardown()
+            });
+            let mut returned = vec![Vec::new(); corpus.len()];
+            let longest = corpus.iter().map(Connection::len).max().unwrap();
+            for i in 0..longest {
+                for (c, conn) in corpus.iter().enumerate() {
+                    if let Some(err) = conn.packets.get(i).and_then(|p| scorer.push(p)) {
+                        returned[c].push(err);
+                    }
                 }
             }
+            let closed = scorer.finish();
+            assert_eq!(closed.len(), corpus.len(), "one flow per connection");
+            let mut checked = 0;
+            for (conn, errs) in corpus.iter().zip(&returned) {
+                let first = conn.packets[0].tcp_flags();
+                assert!(
+                    first.contains(TcpFlags::SYN) && !first.contains(TcpFlags::ACK),
+                    "SYN-opened flow"
+                );
+                if conn.len() < stack {
+                    continue;
+                }
+                let flow = closed.iter().find(|c| c.key == conn.key).unwrap();
+                let bits = |v: &[f32]| v.iter().map(|e| e.to_bits()).collect::<Vec<_>>();
+                assert_eq!(
+                    bits(errs),
+                    bits(&flow.scored.window_errors),
+                    "{quant:?}/{resident:?}: push must return each window error"
+                );
+                checked += 1;
+            }
+            assert!(checked > 0, "corpus has flows of at least `stack` packets");
         }
-    }
-
-    /// The flush triggers: capacity, the latency budget and
-    /// `flush_pending` — and the *non*-trigger: a same-flow burst
-    /// chains instead of flushing. All visible through the occupancy
-    /// histogram.
-    #[test]
-    fn microbatch_flush_triggers_and_occupancy() {
-        let clap = model();
-        let mut scorer = clap.stream_scorer_with(StreamConfig {
-            microbatch: 4,
-            microbatch_wait: 100,
-            teardown_on_close: false,
-            ..StreamConfig::default()
-        });
-        // Three distinct flows: under capacity, everything stays pending.
-        for i in 0..3u8 {
-            scorer.push(&raw_packet(
-                (i + 1, 1000 + u16::from(i)),
-                (99, 80),
-                0.1 * f64::from(i),
-            ));
-        }
-        assert_eq!(scorer.batch_occupancy().iter().sum::<u64>(), 0);
-        scorer.flush_pending();
-        assert_eq!(scorer.batch_occupancy()[2], 1, "one flush of 3 rows");
-        // Back-to-back packets of one flow chain instead of flushing:
-        // nothing drains until the explicit flush, which replays the
-        // chain in packet order as one 2-row batch.
-        scorer.push(&raw_packet((1, 1000), (99, 80), 1.0));
-        scorer.push(&raw_packet((1, 1000), (99, 80), 1.1));
-        assert_eq!(
-            scorer.batch_occupancy()[0],
-            0,
-            "a same-flow burst must not force a flush"
-        );
-        scorer.flush_pending();
-        assert_eq!(scorer.batch_occupancy()[1], 1, "chained flush of 2 rows");
-        // Capacity flush: 4 more distinct flows fill the batch.
-        for i in 10..14u8 {
-            scorer.push(&raw_packet(
-                (i + 1, 2000 + u16::from(i)),
-                (99, 80),
-                2.0 + 0.1 * f64::from(i),
-            ));
-        }
-        assert_eq!(scorer.batch_occupancy()[3], 1, "capacity flush of 4 rows");
-        // Latency budget: one pending row flushes after `wait` packets.
-        let mut lazy = clap.stream_scorer_with(StreamConfig {
-            microbatch: 64,
-            microbatch_wait: 2,
-            teardown_on_close: false,
-            ..StreamConfig::default()
-        });
-        lazy.push(&raw_packet((1, 1000), (99, 80), 0.0));
-        lazy.push(&raw_packet((2, 1001), (99, 80), 0.1));
-        assert_eq!(lazy.batch_occupancy().iter().sum::<u64>(), 0);
-        lazy.push(&raw_packet((3, 1002), (99, 80), 0.2));
-        assert_eq!(lazy.batch_occupancy()[1], 1, "age-budget flush of 2 rows");
-        // Finalization drains everything pending.
-        let closed = lazy.finish();
-        assert_eq!(closed.len(), 3);
-        assert!(closed.iter().all(|c| c.scored.score.is_finite()));
     }
 
     /// The wheel survives huge clock jumps (multi-level cascades) and

@@ -372,7 +372,8 @@ proptest! {
     /// 7} shards produces the identical per-flow verdict set (scores
     /// ≤1e-6, same close reasons, same localization) as the
     /// single-threaded `StreamScorer` — regardless of queue capacity,
-    /// sweep cadence and flush timing, with teardown both on and off.
+    /// sweep cadence and flush timing, with teardown both on and off, at
+    /// f32 and int8 weights and at int8 resident state.
     /// (Idle-timeout evictions never fire here: generated captures are
     /// far shorter than the 300 s idle deadline. That is the documented
     /// boundary of shard-count equality — per-shard clocks may split
@@ -387,8 +388,14 @@ proptest! {
         sweep_interval in prop_oneof![Just(1usize), Just(7usize), Just(4096usize)],
         teardown in any::<bool>(),
         corrupt in any::<bool>(),
+        mode in prop_oneof![
+            Just((QuantMode::Off, ResidentMode::F32)),
+            Just((QuantMode::Int8, ResidentMode::F32)),
+            Just((QuantMode::Int8, ResidentMode::Int8)),
+        ],
     ) {
         let clap = model();
+        let (quant, resident) = mode;
         let mut conns = traffic_gen::dataset(seed ^ 0x5a4d, 6);
         if corrupt {
             // Inject a bad-checksum RST (the paper's flagship evasion)
@@ -413,6 +420,8 @@ proptest! {
         let stream_cfg = StreamConfig {
             teardown_on_close: teardown,
             sweep_interval,
+            quant,
+            resident,
             ..StreamConfig::default()
         };
 
@@ -446,130 +455,6 @@ proptest! {
                     "score drift at {} shards: {} vs {}", shards, g.4, e.4
                 );
             }
-        }
-    }
-
-    /// Cross-flow micro-batching is a pure scheduling change: for random
-    /// interleaved corrupted+benign traffic and *random flush budgets*
-    /// (capacity and packet-count age), the micro-batched engine closes
-    /// the same flows in the same order with the same reasons and
-    /// arrival tags as the per-packet engine — bitwise-identical errors
-    /// and scores at int8 (and in practice at f32 too; the asserted f32
-    /// floor is the suite-wide 1e-6) — and the sharded front end's
-    /// verdict table is byte-identical with batching on vs off at a
-    /// random shard count.
-    #[test]
-    fn microbatched_matches_per_packet(
-        seed in 0u64..10_000,
-        cap in prop_oneof![Just(2usize), Just(3usize), Just(5usize), Just(16usize), Just(64usize)],
-        wait in prop_oneof![Just(1usize), Just(3usize), Just(17usize), Just(64usize)],
-        shards in prop_oneof![Just(1usize), Just(2usize), Just(4usize), Just(7usize)],
-        teardown in any::<bool>(),
-        corrupt in any::<bool>(),
-        mode in prop_oneof![
-            Just((QuantMode::Off, ResidentMode::F32)),
-            Just((QuantMode::Int8, ResidentMode::F32)),
-            Just((QuantMode::Int8, ResidentMode::Int8)),
-        ],
-    ) {
-        let clap = model();
-        let (quant, resident) = mode;
-        let mut conns = traffic_gen::dataset(seed ^ 0x6b1c, 5);
-        if corrupt {
-            for conn in conns.iter_mut().step_by(2) {
-                if let Some(idx) = conn.first_index_after_handshake() {
-                    let at = idx.min(conn.len() - 1);
-                    let mut rst = conn.packets[at].clone();
-                    rst.tcp_mut().flags = TcpFlags::RST;
-                    rst.payload.clear();
-                    rst.fill_checksums();
-                    rst.tcp_mut().checksum ^= 0x0bad;
-                    conn.packets.insert(at, rst);
-                }
-            }
-        }
-        let mut stream: Vec<&net_packet::Packet> =
-            conns.iter().flat_map(|c| c.packets.iter()).collect();
-        stream.sort_by(|a, b| a.timestamp.total_cmp(&b.timestamp));
-
-        let cfg = |microbatch: usize| StreamConfig {
-            teardown_on_close: teardown,
-            quant,
-            resident,
-            microbatch,
-            microbatch_wait: wait,
-            ..StreamConfig::default()
-        };
-
-        // One scorer, per-packet vs micro-batched: identical close
-        // stream, packet for packet.
-        let run = |microbatch: usize| {
-            let mut s = clap.stream_scorer_with(cfg(microbatch));
-            for p in &stream {
-                s.push(p);
-            }
-            let mut closed = s.drain_closed();
-            closed.extend(s.finish());
-            closed
-        };
-        let base = run(0);
-        let batched = run(cap);
-        prop_assert_eq!(base.len(), batched.len(), "closed flow count");
-        for (a, b) in base.iter().zip(&batched) {
-            prop_assert_eq!(&a.key, &b.key, "close order / identity");
-            prop_assert_eq!(a.packets, b.packets);
-            prop_assert_eq!(a.reason, b.reason);
-            prop_assert_eq!(a.arrival, b.arrival);
-            prop_assert_eq!(a.scored.peak_window, b.scored.peak_window);
-            prop_assert_eq!(a.scored.peak_packet, b.scored.peak_packet);
-            prop_assert_eq!(
-                a.scored.window_errors.len(),
-                b.scored.window_errors.len()
-            );
-            if quant == QuantMode::Int8 {
-                prop_assert_eq!(
-                    a.scored.score.to_bits(),
-                    b.scored.score.to_bits(),
-                    "int8 micro-batching must be bitwise"
-                );
-                for (x, y) in a.scored.window_errors.iter().zip(&b.scored.window_errors) {
-                    prop_assert_eq!(x.to_bits(), y.to_bits(), "int8 window error bits");
-                }
-            } else {
-                prop_assert!(
-                    (a.scored.score - b.scored.score).abs() < 1e-6,
-                    "f32 score drift: {} vs {}", a.scored.score, b.scored.score
-                );
-                for (x, y) in a.scored.window_errors.iter().zip(&b.scored.window_errors) {
-                    prop_assert!((x - y).abs() < 1e-6, "f32 window error drift");
-                }
-            }
-        }
-
-        // Sharded front end: verdict-for-verdict byte identity.
-        let sharded = |microbatch: usize| {
-            clap.sharded_scorer_with(ShardConfig {
-                shards,
-                queue_capacity: 8,
-                stream: cfg(microbatch),
-                ..ShardConfig::default()
-            })
-            .score_stream(stream.iter().copied())
-        };
-        let off = sharded(0);
-        let on = sharded(cap);
-        prop_assert_eq!(off.verdicts.len(), on.verdicts.len(), "sharded verdict count");
-        for (a, b) in off.verdicts.iter().zip(&on.verdicts) {
-            prop_assert_eq!(a.shard, b.shard);
-            prop_assert_eq!(a.arrival, b.arrival);
-            prop_assert_eq!(&a.flow.key, &b.flow.key);
-            prop_assert_eq!(a.flow.packets, b.flow.packets);
-            prop_assert_eq!(a.flow.reason, b.flow.reason);
-            prop_assert_eq!(
-                a.flow.scored.score.to_bits(),
-                b.flow.scored.score.to_bits(),
-                "sharded verdict table must be byte-identical with batching on/off"
-            );
         }
     }
 

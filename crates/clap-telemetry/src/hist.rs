@@ -42,7 +42,7 @@ pub enum Stage {
     Parse = 0,
     /// Per-packet feature extraction + TCP state tracking.
     Extract = 1,
-    /// GRU recurrence step (single packet or micro-batch round).
+    /// GRU recurrence step.
     Gru = 2,
     /// Autoencoder window reconstruction + error scoring.
     AeWindow = 3,

@@ -92,52 +92,88 @@ pub fn write_pcap_raw<W: Write>(mut w: W, records: &[(f64, Vec<u8>)]) -> io::Res
     Ok(())
 }
 
+/// A classic pcap stream positioned after its validated global header.
+struct Records<R> {
+    r: R,
+    big_endian: bool,
+    ns: bool,
+}
+
+impl<R: Read> Records<R> {
+    /// Reads the global header: accepts either byte order and either
+    /// timestamp precision, and only the `LINKTYPE_RAW` link type.
+    fn open(mut r: R) -> Result<Self, PcapError> {
+        let mut header = [0u8; 24];
+        r.read_exact(&mut header)?;
+        let magic = u32::from_le_bytes([header[0], header[1], header[2], header[3]]);
+        let (big_endian, ns) = match magic {
+            MAGIC_LE_US => (false, false),
+            MAGIC_LE_NS => (false, true),
+            MAGIC_BE_US => (true, false),
+            MAGIC_BE_NS => (true, true),
+            other => return Err(PcapError::BadMagic(other)),
+        };
+        let records = Records { r, big_endian, ns };
+        let linktype = records.u32_at(&header[20..24]);
+        if linktype != LINKTYPE_RAW {
+            return Err(PcapError::UnsupportedLinkType(linktype));
+        }
+        Ok(records)
+    }
+
+    fn u32_at(&self, b: &[u8]) -> u32 {
+        let b = [b[0], b[1], b[2], b[3]];
+        if self.big_endian {
+            u32::from_be_bytes(b)
+        } else {
+            u32::from_le_bytes(b)
+        }
+    }
+
+    /// Reads the next record's bytes into `data` and returns its
+    /// timestamp, or `None` at end of stream. The record header's
+    /// `caplen` is attacker-controlled, so nothing is reserved from it:
+    /// `data` grows only with the bytes actually present, and a record
+    /// shorter than its `caplen` is [`PcapError::Truncated`].
+    fn next(&mut self, data: &mut Vec<u8>) -> Result<Option<f64>, PcapError> {
+        let mut rec = [0u8; 16];
+        match self.r.read_exact(&mut rec) {
+            Ok(()) => {}
+            Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(None),
+            Err(e) => return Err(e.into()),
+        }
+        let secs = self.u32_at(&rec[0..4]) as f64;
+        let frac = self.u32_at(&rec[4..8]) as f64;
+        let caplen = self.u32_at(&rec[8..12]);
+        data.clear();
+        self.r
+            .by_ref()
+            .take(u64::from(caplen))
+            .read_to_end(data)
+            .map_err(|_| PcapError::Truncated)?;
+        if data.len() != caplen as usize {
+            return Err(PcapError::Truncated);
+        }
+        Ok(Some(secs + frac / if self.ns { 1e9 } else { 1e6 }))
+    }
+}
+
 /// Reads a pcap stream produced by [`write_pcap`] (or any `LINKTYPE_RAW`
 /// classic pcap). IPv4 fragments are reassembled inline (see the module
 /// docs); records that still fail parsing (unsupported protocols in a real
 /// capture, incomplete fragment trains) are skipped rather than failing
 /// the whole file.
-pub fn read_pcap<R: Read>(mut r: R) -> Result<Vec<Packet>, PcapError> {
-    let mut header = [0u8; 24];
-    r.read_exact(&mut header)?;
-    let magic = u32::from_le_bytes([header[0], header[1], header[2], header[3]]);
-    let (big_endian, ns) = match magic {
-        MAGIC_LE_US => (false, false),
-        MAGIC_LE_NS => (false, true),
-        MAGIC_BE_US => (true, false),
-        MAGIC_BE_NS => (true, true),
-        other => return Err(PcapError::BadMagic(other)),
-    };
-    let read_u32 = |b: &[u8]| {
-        if big_endian {
-            u32::from_be_bytes([b[0], b[1], b[2], b[3]])
-        } else {
-            u32::from_le_bytes([b[0], b[1], b[2], b[3]])
-        }
-    };
-    let linktype = read_u32(&header[20..24]);
-    if linktype != LINKTYPE_RAW {
-        return Err(PcapError::UnsupportedLinkType(linktype));
-    }
-
+pub fn read_pcap<R: Read>(r: R) -> Result<Vec<Packet>, PcapError> {
+    let mut records = Records::open(r)?;
     let mut packets = Vec::new();
-    let mut reassembler = Reassembler::new();
-    loop {
-        let mut rec = [0u8; 16];
-        match r.read_exact(&mut rec) {
-            Ok(()) => {}
-            Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => break,
-            Err(e) => return Err(e.into()),
-        }
-        let secs = read_u32(&rec[0..4]) as f64;
-        let frac = read_u32(&rec[4..8]) as f64;
-        let caplen = read_u32(&rec[8..12]) as usize;
-        let ts = secs + frac / if ns { 1e9 } else { 1e6 };
-        let mut data = vec![0u8; caplen];
-        r.read_exact(&mut data).map_err(|_| PcapError::Truncated)?;
+    // Built at the first fragment: most captures never need one.
+    let mut reassembler = None;
+    let mut data = Vec::new();
+    while let Some(ts) = records.next(&mut data)? {
         match Packet::from_bytes(ts, &data) {
             Ok(p) => packets.push(p),
             Err(crate::wire::ParseError::Fragment { .. }) => {
+                let reassembler = reassembler.get_or_insert_with(Reassembler::new);
                 if let Some(p) = reassembler.push(ts, &data) {
                     packets.push(p);
                 }
@@ -154,46 +190,14 @@ pub fn read_pcap<R: Read>(mut r: R) -> Result<Vec<Packet>, PcapError> {
 /// and the input for byte-level capture views (hexdumps, frame-length
 /// audits) that must show exactly what is on disk, including records
 /// [`read_pcap`] would reassemble or drop.
-pub fn read_pcap_raw<R: Read>(mut r: R) -> Result<Vec<(f64, Vec<u8>)>, PcapError> {
-    let mut header = [0u8; 24];
-    r.read_exact(&mut header)?;
-    let magic = u32::from_le_bytes([header[0], header[1], header[2], header[3]]);
-    let (big_endian, ns) = match magic {
-        MAGIC_LE_US => (false, false),
-        MAGIC_LE_NS => (false, true),
-        MAGIC_BE_US => (true, false),
-        MAGIC_BE_NS => (true, true),
-        other => return Err(PcapError::BadMagic(other)),
-    };
-    let read_u32 = |b: &[u8]| {
-        if big_endian {
-            u32::from_be_bytes([b[0], b[1], b[2], b[3]])
-        } else {
-            u32::from_le_bytes([b[0], b[1], b[2], b[3]])
-        }
-    };
-    let linktype = read_u32(&header[20..24]);
-    if linktype != LINKTYPE_RAW {
-        return Err(PcapError::UnsupportedLinkType(linktype));
+pub fn read_pcap_raw<R: Read>(r: R) -> Result<Vec<(f64, Vec<u8>)>, PcapError> {
+    let mut records = Records::open(r)?;
+    let mut out = Vec::new();
+    let mut data = Vec::new();
+    while let Some(ts) = records.next(&mut data)? {
+        out.push((ts, data.clone()));
     }
-
-    let mut records = Vec::new();
-    loop {
-        let mut rec = [0u8; 16];
-        match r.read_exact(&mut rec) {
-            Ok(()) => {}
-            Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => break,
-            Err(e) => return Err(e.into()),
-        }
-        let secs = read_u32(&rec[0..4]) as f64;
-        let frac = read_u32(&rec[4..8]) as f64;
-        let caplen = read_u32(&rec[8..12]) as usize;
-        let ts = secs + frac / if ns { 1e9 } else { 1e6 };
-        let mut data = vec![0u8; caplen];
-        r.read_exact(&mut data).map_err(|_| PcapError::Truncated)?;
-        records.push((ts, data));
-    }
-    Ok(records)
+    Ok(out)
 }
 
 #[cfg(test)]

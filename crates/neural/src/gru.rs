@@ -429,28 +429,6 @@ impl GruStepScratch {
     }
 }
 
-/// Scratch buffers for the cross-flow batched [`PackedGru::step_batch`]
-/// API: the input and recurrent projections of one micro-batch of
-/// *independent* flows, each advancing by one timestep. Like
-/// [`GruStepScratch`] this is flow-independent and reusable; it grows to
-/// the largest batch seen and allocates nothing afterwards.
-#[derive(Debug, Clone, Default)]
-pub struct GruBatchScratch {
-    /// Input-side projections `X·Wᵀ + b`, one row per flow (`B×3H`).
-    pub(crate) xp: Matrix,
-    /// Recurrent projections `H·Uᵀ`, one row per flow (`B×3H`).
-    pub(crate) up: Matrix,
-    /// Quantized-activation scratch for the int8 engine
-    /// ([`crate::quant::QuantPackedGru`]); unused on the f32 path.
-    pub(crate) qa: Vec<u8>,
-}
-
-impl GruBatchScratch {
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
 impl PackedGru {
     /// Packs a cell's nine parameter tensors into the fused layout.
     pub fn pack(cell: &GruCell) -> PackedGru {
@@ -570,58 +548,6 @@ impl PackedGru {
         // Same dispatched gate kernel as `run`, which is what keeps the
         // two paths bitwise identical.
         crate::simd::KernelSet::active().gru_gates(&scratch.xp, &scratch.up, h, z, r);
-    }
-
-    /// Advances a micro-batch of **independent** flows by one timestep
-    /// each — the cross-flow continuous-batching core of the streaming
-    /// scorer.
-    ///
-    /// `xs` holds one input row per flow (`B×I`) and `hs` the matching
-    /// hidden rows (`B×H`, gathered from per-flow storage by the caller
-    /// and updated in place); `zs`/`rs` are resized to `B×H` and receive
-    /// the gate activations row-for-row. Flows never interact: row `i` of
-    /// every matrix belongs to the same flow throughout.
-    ///
-    /// **Bitwise identical** to `B` separate [`step`](Self::step) calls:
-    /// `matmul_nt_into` computes each row with the same `dot`/`dot4`
-    /// kernels as `matvec_into` (the 1-row==matvec guarantee), the bias
-    /// add is the same per-row scalar loop, and the gate block runs the
-    /// same dispatched kernel per row. The test suite pins this.
-    pub fn step_batch(
-        &self,
-        xs: &Matrix,
-        hs: &mut Matrix,
-        scratch: &mut GruBatchScratch,
-        zs: &mut Matrix,
-        rs: &mut Matrix,
-    ) {
-        let hidden = self.hidden;
-        let b = xs.rows;
-        debug_assert_eq!(xs.cols, self.input_size());
-        debug_assert_eq!(hs.rows, b);
-        debug_assert_eq!(hs.cols, hidden);
-
-        Matrix::matmul_nt_into(xs, &self.w, &mut scratch.xp);
-        for r in 0..b {
-            let row = scratch.xp.row_mut(r);
-            for (v, &bv) in row.iter_mut().zip(&self.b) {
-                *v += bv;
-            }
-        }
-        Matrix::matmul_nt_into(hs, &self.u, &mut scratch.up);
-
-        zs.resize(b, hidden);
-        rs.resize(b, hidden);
-        let ks = crate::simd::KernelSet::active();
-        for i in 0..b {
-            ks.gru_gates(
-                scratch.xp.row(i),
-                scratch.up.row(i),
-                hs.row_mut(i),
-                zs.row_mut(i),
-                rs.row_mut(i),
-            );
-        }
     }
 }
 
@@ -858,61 +784,6 @@ mod tests {
             assert_eq!(ha.as_slice(), expect_a.row(t));
             packed.step(&xs_b[t], &mut hb, &mut scratch, &mut z, &mut r);
             assert_eq!(hb.as_slice(), expect_b.row(t));
-        }
-    }
-
-    /// Cross-flow batching invariant: one `step_batch` over B independent
-    /// flows reproduces B separate `step` calls bitwise — hidden states
-    /// and both gate rows — for every batch size including 0 and 1.
-    #[test]
-    fn step_batch_matches_per_flow_step_bitwise() {
-        let mut rng = StdRng::seed_from_u64(41);
-        let cell = GruCell::new(6, 10, &mut rng);
-        let packed = PackedGru::pack(&cell);
-        let mut scratch = GruStepScratch::new();
-        let mut batch_scratch = GruBatchScratch::new();
-        for b in [0usize, 1, 3, 4, 7, 16] {
-            // Distinct mid-flow hidden states per flow.
-            let mut hs_ref: Vec<Vec<f32>> = (0..b)
-                .map(|f| {
-                    (0..10)
-                        .map(|i| ((f * 10 + i) as f32 * 0.13).sin() * 0.8)
-                        .collect()
-                })
-                .collect();
-            let xs_rows: Vec<Vec<f32>> = (0..b)
-                .map(|f| (0..6).map(|i| ((f * 6 + i) as f32 * 0.29).cos()).collect())
-                .collect();
-
-            // Reference: per-flow steps.
-            let mut zs_ref = vec![vec![0.0f32; 10]; b];
-            let mut rs_ref = vec![vec![0.0f32; 10]; b];
-            for f in 0..b {
-                packed.step(
-                    &xs_rows[f],
-                    &mut hs_ref[f],
-                    &mut scratch,
-                    &mut zs_ref[f],
-                    &mut rs_ref[f],
-                );
-            }
-
-            // Batched.
-            let mut xs = Matrix::zeros(b, 6);
-            let mut hs = Matrix::zeros(b, 10);
-            for (f, xrow) in xs_rows.iter().enumerate() {
-                xs.row_mut(f).copy_from_slice(xrow);
-                for i in 0..10 {
-                    hs.row_mut(f)[i] = ((f * 10 + i) as f32 * 0.13).sin() * 0.8;
-                }
-            }
-            let (mut zs, mut rs) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
-            packed.step_batch(&xs, &mut hs, &mut batch_scratch, &mut zs, &mut rs);
-            for f in 0..b {
-                assert_eq!(hs.row(f), hs_ref[f].as_slice(), "h diverged, b={b} f={f}");
-                assert_eq!(zs.row(f), zs_ref[f].as_slice(), "z diverged, b={b} f={f}");
-                assert_eq!(rs.row(f), rs_ref[f].as_slice(), "r diverged, b={b} f={f}");
-            }
         }
     }
 

@@ -48,21 +48,6 @@
 //!     and advance it as packets arrive. Step-by-step trajectories are
 //!     bitwise identical to a batched [`PackedGru::run`] (pinned in tests),
 //!     which is what makes online scores match offline ones exactly.
-//!   * *Cross-flow batched stepping* ([`PackedGru::step_batch`] +
-//!     [`GruBatchScratch`]): one timestep for `B` *independent* flows at
-//!     once. **Gather layout:** the caller packs row `i` of the `B×I`
-//!     input matrix with flow `i`'s feature vector and row `i` of the
-//!     `B×H` hidden matrix with flow `i`'s resident state (gathered from
-//!     wherever it lives — `clap-core` copies f32 slab rows directly and
-//!     dequantizes int8-resident rows first); the step updates the hidden
-//!     rows in place and fills `B×H` gate matrices, and the caller
-//!     scatters row `i` back to flow `i`'s slot. Because the batched GEMM
-//!     processes each row through the exact per-row path of the matvec
-//!     (and each activation row quantizes independently at int8), **row
-//!     `i` is bitwise identical to a separate `step` call for that
-//!     flow** — at both precisions — which is what lets a streaming
-//!     scorer micro-batch packets across flows without perturbing a
-//!     single score.
 //!
 //! # Kernel dispatch
 //!
@@ -167,7 +152,7 @@ pub use adam::Adam;
 pub use autoencoder::{AeWorkspace, Autoencoder, AutoencoderConfig};
 pub use classifier::{GruClassifier, GruClassifierConfig, TrainReport};
 pub use dense::Dense;
-pub use gru::{GruBatchScratch, GruCell, GruStepScratch, GruTrace, GruWorkspace, PackedGru};
+pub use gru::{GruCell, GruStepScratch, GruTrace, GruWorkspace, PackedGru};
 pub use matrix::Matrix;
 pub use quant::{
     dequantize_activations_into, quantize_activations, ActQuant, AeEngine, GruEngine,

@@ -17,12 +17,8 @@ use serde::{Deserialize, Serialize};
 /// Minimum number of output elements before a GEMM is worth parallelizing.
 /// A sub-millisecond kernel call cannot amortize fan-out (the stand-in
 /// pool spawns scoped threads per call, and even a real pool allocates
-/// job state), and the streaming scorer's micro-batch flushes — tens of
-/// rows against the CLAP layer widths, a few thousand output elements —
-/// must stay on the serial path to keep the flush allocation-free at
-/// steady state (pinned by `clap-core/tests/alloc.rs`). Training and
-/// full-capture batch scoring run thousands of rows and clear this
-/// threshold by orders of magnitude.
+/// job state). Training and full-capture batch scoring run thousands of
+/// rows and clear this threshold by orders of magnitude.
 const PAR_THRESHOLD: usize = 256 * 256;
 
 /// Bytes of `B` one nt-GEMM tile targets. Half a typical 256 KiB L2, so

@@ -69,7 +69,7 @@
 
 use crate::autoencoder::{AeWorkspace, Autoencoder};
 use crate::dense::{Activation, Dense};
-use crate::gru::{GruBatchScratch, GruStepScratch, GruWorkspace, PackedGru};
+use crate::gru::{GruStepScratch, GruWorkspace, PackedGru};
 use crate::matrix::Matrix;
 use crate::simd::KernelSet;
 use std::sync::OnceLock;
@@ -388,8 +388,7 @@ impl QuantMatrix {
     /// `C = A · selfᵀ`, quantizing each row of `A` independently through
     /// the very same per-row path as [`matvec_into`](Self::matvec_into) —
     /// which makes every row of the GEMM bitwise identical to its matvec,
-    /// the invariant behind int8 streaming == int8 batch (and micro-batched
-    /// == per-packet streaming). A weight-blocked loop nest (outer over
+    /// the invariant behind int8 streaming == int8 batch. A weight-blocked loop nest (outer over
     /// weight quads, inner over activation rows) was measured here and
     /// *lost* ~15% on the ci-preset models: their weight matrices fit in
     /// L2, so the per-row pass already streams them cache-resident, and
@@ -653,50 +652,6 @@ impl QuantPackedGru {
         self.u.matvec_into(h, &mut scratch.qa, &mut scratch.up);
         KernelSet::active().gru_gates(&scratch.xp, &scratch.up, h, z, r);
     }
-
-    /// Int8 twin of [`PackedGru::step_batch`]: one GRU step for `B`
-    /// independent flows at once. Because the int8 GEMM quantizes each
-    /// activation row independently and scores it through the exact
-    /// per-row path of [`QuantMatrix::matvec_into`], every row of the
-    /// batch is bitwise identical to a separate [`step`](Self::step)
-    /// call with that flow's `x`/`h` — the invariant the micro-batched
-    /// streaming path relies on.
-    pub fn step_batch(
-        &self,
-        xs: &Matrix,
-        hs: &mut Matrix,
-        scratch: &mut GruBatchScratch,
-        zs: &mut Matrix,
-        rs: &mut Matrix,
-    ) {
-        let hidden = self.hidden;
-        let b = xs.rows;
-        debug_assert_eq!(xs.cols, self.input_size());
-        debug_assert_eq!(hs.rows, b);
-        debug_assert_eq!(hs.cols, hidden);
-
-        self.w.matmul_nt_into(xs, &mut scratch.qa, &mut scratch.xp);
-        for i in 0..b {
-            let row = scratch.xp.row_mut(i);
-            for (v, &bv) in row.iter_mut().zip(&self.b) {
-                *v += bv;
-            }
-        }
-        self.u.matmul_nt_into(hs, &mut scratch.qa, &mut scratch.up);
-
-        zs.resize(b, hidden);
-        rs.resize(b, hidden);
-        let ks = KernelSet::active();
-        for i in 0..b {
-            ks.gru_gates(
-                scratch.xp.row(i),
-                scratch.up.row(i),
-                hs.row_mut(i),
-                zs.row_mut(i),
-                rs.row_mut(i),
-            );
-        }
-    }
 }
 
 /// A GRU inference engine at either precision, so the scoring paths hold
@@ -758,23 +713,6 @@ impl GruEngine {
         match self {
             GruEngine::F32(p) => p.step(x, h, scratch, z, r),
             GruEngine::Int8(q) => q.step(x, h, scratch, z, r),
-        }
-    }
-
-    /// One GRU step for `B` independent flows at once (row `i` of
-    /// `xs`/`hs`/`zs`/`rs` belongs to flow `i`). At both precisions each
-    /// row is bitwise identical to a separate [`step`](Self::step) call.
-    pub fn step_batch(
-        &self,
-        xs: &Matrix,
-        hs: &mut Matrix,
-        scratch: &mut GruBatchScratch,
-        zs: &mut Matrix,
-        rs: &mut Matrix,
-    ) {
-        match self {
-            GruEngine::F32(p) => p.step_batch(xs, hs, scratch, zs, rs),
-            GruEngine::Int8(q) => q.step_batch(xs, hs, scratch, zs, rs),
         }
     }
 }
@@ -1072,51 +1010,6 @@ mod tests {
         let act = quantize_activations(&short, &mut qa);
         let min = short.iter().cloned().fold(f32::MAX, f32::min);
         assert_eq!(act.scale, (50.0 - min) / ACT_LEVELS);
-    }
-
-    /// Int8 twin of the f32 `step_batch` pin: batching B live flows
-    /// through one GEMM must be bitwise identical to stepping each flow
-    /// on its own.
-    #[test]
-    fn quant_step_batch_matches_per_flow_step_bitwise() {
-        let mut rng = StdRng::seed_from_u64(23);
-        let cell = GruCell::new(6, 10, &mut rng);
-        let q = QuantPackedGru::quantize(&PackedGru::pack(&cell));
-        let mut scratch = GruStepScratch::new();
-        let mut batch_scratch = GruBatchScratch::new();
-        for b in [0usize, 1, 3, 4, 7, 16] {
-            // Per-flow reference: distinct mid-flow hidden states.
-            let mut xs = Matrix::zeros(b, 6);
-            let mut hs = Matrix::zeros(b, 10);
-            for f in 0..b {
-                for i in 0..6 {
-                    xs.set(f, i, ((f * 6 + i) as f32 * 0.29).cos());
-                }
-                for i in 0..10 {
-                    hs.set(f, i, ((f * 10 + i) as f32 * 0.13).sin() * 0.8);
-                }
-            }
-            let mut want_h = Vec::new();
-            let mut want_z = Vec::new();
-            let mut want_r = Vec::new();
-            for f in 0..b {
-                let mut h = hs.row(f).to_vec();
-                let mut z = vec![0.0f32; 10];
-                let mut r = vec![0.0f32; 10];
-                q.step(xs.row(f), &mut h, &mut scratch, &mut z, &mut r);
-                want_h.push(h);
-                want_z.push(z);
-                want_r.push(r);
-            }
-            let mut zs = Matrix::default();
-            let mut rs = Matrix::default();
-            q.step_batch(&xs, &mut hs, &mut batch_scratch, &mut zs, &mut rs);
-            for f in 0..b {
-                assert_eq!(hs.row(f), want_h[f].as_slice(), "h row {f} (b={b})");
-                assert_eq!(zs.row(f), want_z[f].as_slice(), "z row {f} (b={b})");
-                assert_eq!(rs.row(f), want_r[f].as_slice(), "r row {f} (b={b})");
-            }
-        }
     }
 
     #[test]
