@@ -17,10 +17,13 @@
 //!   index, packet)` pairs into one bounded single-producer/single-consumer
 //!   ring per shard ([`spsc`]). What happens when a ring is full is the
 //!   configured [`OverloadPolicy`] (see below); the default `Block`
-//!   applies backpressure to the dispatcher (spin-then-yield, counted per
-//!   shard in [`ShardStats::full_waits`]) rather than dropping packets or
-//!   growing without bound — the ingest path can stall, but it can never
-//!   lose a packet or exhaust memory.
+//!   applies backpressure to the dispatcher (counted per shard in
+//!   [`ShardStats::full_waits`]) rather than dropping packets or growing
+//!   without bound — the ingest path can stall, but it can never lose a
+//!   packet or exhaust memory. A stalled dispatcher spins briefly, then
+//!   parks until the worker has drained the ring to half capacity, so it
+//!   costs no CPU while the worker scores; an idle worker likewise parks
+//!   until the next push.
 //! * **Per-shard policy, per-shard clocks.** Every shard runs its own
 //!   [`StreamConfig`]: idle sweeps, capacity probing and TCP-teardown
 //!   finalization fire per shard exactly as in the unsharded engine. One
@@ -70,7 +73,8 @@
 //!   [`score_stream`](ShardedStreamScorer::score_stream) panics on hard
 //!   failures, preserving the pre-supervision contract.
 //! * **Overload policies** ([`OverloadPolicy`], consulted on ring-full):
-//!   `Block` (default) spins until space frees — zero loss, bitwise
+//!   `Block` (default) waits for space — spin, then park until the
+//!   worker has drained the ring to half capacity — zero loss, bitwise
 //!   determinism, unbounded dispatch latency. `DropNewest` sheds the
 //!   packet that found the ring full — bounded latency, loss counted in
 //!   [`ShardStats::dropped`]. `Degrade { keep_one_in: k }` scores one in
@@ -90,10 +94,12 @@
 //!   progress heartbeat is frozen for [`ShardConfig::watchdog_limit`]
 //!   consecutive dispatcher wait-iterations is declared stuck: the
 //!   dispatcher stops feeding it (shedding its packets into `dropped`)
-//!   and reports it in the run's [`ShardRunError`]. A merely *slow*
-//!   shard keeps its heartbeat advancing and is never flagged. If a
-//!   stuck worker later recovers, its verdicts are still merged; the
-//!   failure report stands.
+//!   and reports it in the run's [`ShardRunError`]. The dispatcher parks
+//!   while the heartbeat moves; once 50 parks of at most 1 ms pass
+//!   without a beat, it spins and yields instead. Every frozen wait
+//!   iteration counts against the limit. A merely *slow* shard keeps its
+//!   heartbeat advancing and is never flagged. If a stuck worker later
+//!   recovers, its verdicts are still merged; the failure report stands.
 //! * **Fault injection.** [`fault::FaultPlan`] injects panics, hard
 //!   kills, stalls, forced ring-full bursts and malformed packets at
 //!   seed-deterministic arrivals — same plan, same stream, same outcome
@@ -133,6 +139,7 @@ use net_packet::{CanonicalKey, Packet};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Arc;
+use std::time::Duration;
 use supervise::{Quarantined, ShardFailure, ShardFailureKind, ShardRunError};
 
 /// What the dispatcher does with a packet whose shard's ingest ring is
@@ -140,7 +147,8 @@ use supervise::{Quarantined, ShardFailure, ShardFailureKind, ShardRunError};
 /// section for the guarantees each variant keeps.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum OverloadPolicy {
-    /// Spin (spin-then-yield) until the ring frees a slot. Zero loss and
+    /// Wait until the ring frees a slot: spin briefly, then park until
+    /// the worker has drained the ring to half capacity. Zero loss and
     /// bitwise determinism, at the price of unbounded dispatch latency
     /// behind a slow shard. The pre-supervision behavior.
     #[default]
@@ -197,8 +205,8 @@ impl std::fmt::Display for OverloadPolicy {
 pub struct ShardConfig {
     /// Number of worker shards (≥ 1). Each shard owns one ingest queue,
     /// one [`StreamScorer`] flow table and one thread; the dispatch loop
-    /// runs on the calling thread, so `shards` worker cores plus one
-    /// dispatch core are busy at saturation.
+    /// runs on the calling thread. At saturation the `shards` workers are
+    /// busy and the dispatcher mostly parks on full rings.
     pub shards: usize,
     /// Capacity of each shard's SPSC ingest ring, in packets. Smaller
     /// rings bound ingest memory and latency tighter but backpressure the
@@ -212,8 +220,11 @@ pub struct ShardConfig {
     pub overload: OverloadPolicy,
     /// Stuck-shard watchdog threshold: a shard is declared stuck after
     /// this many consecutive dispatcher wait-iterations with its ring
-    /// full and its heartbeat frozen. The default (`1 << 26`, tens of
-    /// seconds of spinning) only ever fires on a genuinely wedged
+    /// full and its heartbeat frozen. Each park (1 ms at most) and each
+    /// spin or yield is one iteration: the dispatcher parks while the
+    /// heartbeat moves and, after 50 parks with no beat, spins and yields
+    /// until the next beat. The default (`1 << 26`, tens of seconds of
+    /// spinning and yielding) only ever fires on a genuinely wedged
     /// worker; tests lower it to exercise the path.
     pub watchdog_limit: u64,
     /// Injected fault schedule (empty in production use).
@@ -259,7 +270,7 @@ pub struct ShardStats {
     pub flows_closed: u64,
     /// Times the dispatcher found this shard's ingest ring full and had
     /// to wait — the backpressure signal. Counted once per stalled push,
-    /// not per spin iteration.
+    /// not per wait iteration or park.
     pub full_waits: u64,
     /// Packets shed: by the overload policy, by the watchdog cutting off
     /// a stuck shard, or lost to a dying worker (its in-flight packet
@@ -357,10 +368,31 @@ enum PushOutcome {
     },
 }
 
-/// Pushes `item`, spinning while the ring is full; watches the worker's
-/// liveness (thread finished) and progress (heartbeat) while waiting. A
-/// *slow* worker keeps its heartbeat moving and resets the frozen count,
-/// so only a genuinely wedged shard ever trips `Stuck`.
+/// Longest single park at either end of a ring. It bounds how late a
+/// parked dispatcher notices a worker that died or wedged without waking
+/// it, and how often an idle worker polls.
+const PARK_TIMEOUT: Duration = Duration::from_millis(1);
+
+/// Parks in a row the dispatcher spends on one heartbeat value before it
+/// treats the worker as possibly wedged and falls back to the watchdog's
+/// spin/yield wait — at most 50 ms. Scoring a packet takes microseconds,
+/// but single pushes of tens of milliseconds do occur (allocation, a
+/// descheduled worker), and spinning through each of them would cost the
+/// CPU that parking saves.
+const PARKS_PER_BEAT: u32 = 50;
+
+/// Pushes `item`, waiting while the ring is full; watches the worker's
+/// liveness (thread finished) and progress (heartbeat) while waiting.
+///
+/// The wait spins briefly, then parks until the worker has drained the
+/// ring to half capacity ([`spsc::Ring::wake_producer`]) or
+/// [`PARK_TIMEOUT`] passes, and parks again while the heartbeat moves. A
+/// worker whose heartbeat stands still through [`PARKS_PER_BEAT`] parks
+/// may be wedged, so the wait falls back to spin/yield iterations. Every
+/// iteration with the heartbeat frozen, park or not, counts towards
+/// `watchdog_limit`. A *slow* worker keeps its heartbeat moving and
+/// resets the frozen count, so only a genuinely wedged shard ever trips
+/// `Stuck`.
 fn blocking_push<T>(
     ring: &spsc::Ring<T>,
     worker_finished: impl Fn() -> bool,
@@ -371,6 +403,7 @@ fn blocking_push<T>(
     let mut backoff = spsc::Backoff::new();
     let mut stalled = false;
     let mut beat = 0u64;
+    let mut frozen_parks = 0u32;
     let mut frozen_iters = 0u64;
     loop {
         match ring.try_push(item) {
@@ -385,13 +418,19 @@ fn blocking_push<T>(
                     stalled = true;
                     beat = now;
                     frozen_iters = 0;
+                    frozen_parks = 0;
                 } else {
                     frozen_iters += 1;
                     if frozen_iters >= watchdog_limit {
                         return PushOutcome::Stuck { heartbeat: now };
                     }
                 }
-                backoff.snooze();
+                if backoff.is_completed() && frozen_parks < PARKS_PER_BEAT {
+                    frozen_parks += 1;
+                    ring.park_producer(PARK_TIMEOUT);
+                } else {
+                    backoff.snooze();
+                }
             }
         }
     }
@@ -470,10 +509,9 @@ impl ShardedStreamScorer<'_> {
         std::thread::scope(|s| {
             // Any unwind out of this closure — e.g. a panic inside the
             // caller's `packets` iterator — must still close every ring,
-            // or the scope's implicit join would hang on workers spinning
-            // against open rings. The guard closes them on drop; the
-            // normal path drops it (and thus closes the rings) before
-            // joining.
+            // or the scope's implicit join would hang on workers waiting
+            // on open rings. The guard closes them (waking parked
+            // workers) on drop; the normal path drops it before joining.
             let close_rings = CloseRings(&queues);
 
             let handles: Vec<_> = queues
@@ -521,7 +559,10 @@ impl ShardedStreamScorer<'_> {
                             false
                         } else {
                             match queues[shard].try_push((seq, p)) {
-                                Ok(()) => continue,
+                                Ok(()) => {
+                                    queues[shard].wake_consumer();
+                                    continue;
+                                }
                                 Err(_) => false,
                             }
                         }
@@ -554,6 +595,7 @@ impl ShardedStreamScorer<'_> {
                     (seq, p),
                 ) {
                     PushOutcome::Delivered { stalled } => {
+                        queues[shard].wake_consumer();
                         if stalled {
                             cells.dispatch.full_wait();
                         }
@@ -670,7 +712,8 @@ impl ShardedStreamScorer<'_> {
     }
 }
 
-/// Closes every ring when dropped. Held across the dispatch loop so that
+/// Closes every ring when dropped — [`spsc::Ring::close`] also wakes a
+/// worker parked on its empty ring. Held across the dispatch loop so that
 /// both the normal path and any unwind (a panicking caller iterator)
 /// release the workers from their pop loops.
 struct CloseRings<'q, T>(&'q [spsc::Ring<T>]);
@@ -790,6 +833,9 @@ fn shard_worker<'p>(
     let mut backoff = spsc::Backoff::new();
     loop {
         while let Some(item) = ring.try_pop() {
+            // Before scoring, so a dispatcher parked on the full ring
+            // refills it while this packet is scored.
+            ring.wake_producer();
             supervised(&mut scorer, &mut out, item);
             backoff.reset();
         }
@@ -801,7 +847,12 @@ fn shard_worker<'p>(
             }
             break;
         }
-        backoff.snooze();
+        // Idle: spin briefly, then park until the next push or the close.
+        if backoff.is_completed() {
+            ring.park_consumer(PARK_TIMEOUT);
+        } else {
+            backoff.snooze();
+        }
     }
 
     // The conntrack-style dump captures the table as of end of stream —
@@ -830,22 +881,92 @@ fn shard_worker<'p>(
 
 /// Bounded single-producer/single-consumer ring — the per-shard ingest
 /// queue. Lock-free on both fast paths (one atomic load + one atomic
-/// store each); the only waiting is spin-then-yield backoff at the
-/// endpoints, so it behaves sanely even when producer and consumer share
-/// a core. Safety argument: `head` is written only by the consumer and
-/// `tail` only by the producer; a slot is written before the `Release`
-/// store of `tail` that publishes it and read before the `Release` store
-/// of `head` that retires it, so the two sides never touch a slot
-/// concurrently.
+/// store each). Waiting happens at the endpoints: a short [`Backoff`]
+/// spin covers a peer that is mid-operation, after which the waiting side
+/// parks ([`Ring::park_producer`], [`Ring::park_consumer`]) until the
+/// other side wakes it or a timeout passes, so a full or empty ring costs
+/// no CPU while the peer works. A parked producer is woken once the
+/// consumer has drained the ring to half capacity ([`Ring::wake_producer`]);
+/// a parked consumer by the next push or by [`Ring::close`]
+/// ([`Ring::wake_consumer`]). The wake calls sit outside `try_push` and
+/// `try_pop`, which stay one load and one store each. Safety argument:
+/// `head` is written only by the consumer and `tail` only by the
+/// producer; a slot is written before the `Release` store of `tail` that
+/// publishes it and read before the `Release` store of `head` that
+/// retires it, so the two sides never touch a slot concurrently.
 pub mod spsc {
     use std::cell::UnsafeCell;
     use std::mem::MaybeUninit;
-    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+    use std::sync::atomic::{fence, AtomicBool, AtomicUsize, Ordering};
+    use std::sync::OnceLock;
+    use std::thread::Thread;
+    use std::time::Duration;
 
     /// Pads the producer- and consumer-owned counters onto their own
     /// cache lines so the two sides don't false-share.
     #[repr(align(64))]
     struct CacheAligned<T>(T);
+
+    /// One end's parking slot: the thread that parks there and the flag
+    /// it raises before parking.
+    ///
+    /// No wakeup is lost. The waiter stores its flag, issues a `SeqCst`
+    /// fence, then re-reads the ring; the waker publishes its progress
+    /// (the push, pop or close), issues a `SeqCst` fence, then reads the
+    /// flag. Of two `SeqCst` fences one precedes the other, so either the
+    /// waiter sees the progress and does not park, or the waker sees the
+    /// flag and unparks it. A wake that lands before the park leaves
+    /// std's unpark token set, and the park then returns at once.
+    struct Parking {
+        waiting: CacheAligned<AtomicBool>,
+        /// The parking thread, registered on its first park. Only one
+        /// thread may ever park on one end.
+        thread: OnceLock<Thread>,
+    }
+
+    impl Parking {
+        fn new() -> Parking {
+            Parking {
+                waiting: CacheAligned(AtomicBool::new(false)),
+                thread: OnceLock::new(),
+            }
+        }
+
+        /// Parks the calling thread for at most `timeout` unless `ready`,
+        /// checked after the flag is raised, says there is no need. May
+        /// return early (a stale unpark token); callers re-check.
+        fn park(&self, timeout: Duration, ready: impl FnOnce() -> bool) {
+            let me = std::thread::current();
+            let registered = self.thread.get_or_init(|| me.clone());
+            assert_eq!(
+                registered.id(),
+                me.id(),
+                "two threads parked on one end of an SPSC ring"
+            );
+            // Release: a waker whose swap reads `true` also sees the
+            // registration above.
+            self.waiting.0.store(true, Ordering::Release);
+            fence(Ordering::SeqCst);
+            if !ready() {
+                std::thread::park_timeout(timeout);
+            }
+            self.waiting.0.store(false, Ordering::Relaxed);
+        }
+
+        /// Unparks the waiter if its flag is up. Call after publishing
+        /// the progress it waits for.
+        fn wake(&self) {
+            fence(Ordering::SeqCst);
+            // Acquire pairs with the Release store in `park`.
+            if self.waiting.0.load(Ordering::Relaxed)
+                && self.waiting.0.swap(false, Ordering::Acquire)
+            {
+                if let Some(thread) = self.thread.get() {
+                    thread.unpark();
+                }
+            }
+        }
+    }
 
     /// The bounded SPSC ring. `try_push` may only ever be called from one
     /// thread at a time, and `try_pop` from one (possibly different)
@@ -858,11 +979,16 @@ pub mod spsc {
         /// Next index to push (producer-owned, monotonically increasing).
         tail: CacheAligned<AtomicUsize>,
         closed: AtomicBool,
+        /// Where the producer parks on a full ring.
+        producer: Parking,
+        /// Where the consumer parks on an empty ring.
+        consumer: Parking,
     }
 
     // SAFETY: the ring hands each value from exactly one producer thread
     // to exactly one consumer thread (see the module docs); the atomics
-    // order the slot accesses.
+    // order the slot accesses. The parking slots hold only an atomic
+    // flag and a `OnceLock<Thread>`, both `Send + Sync`.
     unsafe impl<T: Send> Sync for Ring<T> {}
     unsafe impl<T: Send> Send for Ring<T> {}
 
@@ -879,6 +1005,8 @@ pub mod spsc {
                 head: CacheAligned(AtomicUsize::new(0)),
                 tail: CacheAligned(AtomicUsize::new(0)),
                 closed: AtomicBool::new(false),
+                producer: Parking::new(),
+                consumer: Parking::new(),
             }
         }
 
@@ -940,17 +1068,53 @@ pub mod spsc {
             self.slots.len()
         }
 
-        /// Producer side: marks the stream finished. The consumer must
-        /// drain once more *after* observing the flag — `close` is
-        /// ordered after every preceding push.
+        /// Producer side: marks the stream finished and wakes a parked
+        /// consumer. The consumer must drain once more *after* observing
+        /// the flag — `close` is ordered after every preceding push.
         pub fn close(&self) {
             self.closed.store(true, Ordering::Release);
+            self.consumer.wake();
         }
 
         /// Consumer side: true once the producer closed the ring. Items
         /// pushed before the close may still be pending; drain after.
         pub fn is_closed(&self) -> bool {
             self.closed.load(Ordering::Acquire)
+        }
+
+        /// Producer side, on a full ring: parks the calling thread until
+        /// the consumer has drained the ring to half capacity, `timeout`
+        /// passes, or a stale wake returns it early. Returns at once if a
+        /// slot is free. Only one thread may ever call this on a ring.
+        pub fn park_producer(&self, timeout: Duration) {
+            self.producer.park(timeout, || !self.is_full());
+        }
+
+        /// Consumer side, after each successful `try_pop`: wakes a parked
+        /// producer once the ring holds at most half its capacity. Waking
+        /// at half, not at the first free slot, leaves the consumer half
+        /// a ring of work while the producer refills it, and costs one
+        /// wakeup per half ring instead of one per packet.
+        pub fn wake_producer(&self) {
+            if self.len() <= self.capacity() / 2 {
+                self.producer.wake();
+            }
+        }
+
+        /// Consumer side, on an empty ring: parks the calling thread
+        /// until the producer pushes or closes, `timeout` passes, or a
+        /// stale wake returns it early. Returns at once if an item is
+        /// queued or the ring is closed. Only one thread may ever call
+        /// this on a ring.
+        pub fn park_consumer(&self, timeout: Duration) {
+            self.consumer
+                .park(timeout, || !self.is_empty() || self.is_closed());
+        }
+
+        /// Producer side, after each successful `try_push`: wakes a
+        /// parked consumer. ([`close`](Self::close) wakes it itself.)
+        pub fn wake_consumer(&self) {
+            self.consumer.wake();
         }
     }
 
@@ -961,11 +1125,15 @@ pub mod spsc {
         }
     }
 
-    /// Spin-then-yield wait loop for the ring endpoints. The short spin
-    /// phase covers the common case (the peer is mid-operation on another
-    /// core); the yield phase keeps a shared-core configuration — e.g. a
-    /// single-CPU container, or more shards than cores — live instead of
-    /// burning the peer's timeslice.
+    /// Spin phase of a wait at a ring endpoint. The short spin covers the
+    /// common case (the peer is mid-operation on another core); once it
+    /// [`is_completed`](Self::is_completed) the sharded engine parks
+    /// instead ([`Ring::park_producer`], [`Ring::park_consumer`]). Past
+    /// the spin, [`snooze`](Self::snooze) yields to the scheduler: the
+    /// dispatcher's stuck-shard watchdog waits that way, counting
+    /// iterations while a worker's heartbeat stands still, and the yield
+    /// keeps a shared core — a single-CPU container, or more shards than
+    /// cores — live instead of burning the peer's timeslice.
     pub struct Backoff {
         spins: u32,
     }
@@ -991,6 +1159,12 @@ pub mod spsc {
         /// Forget accumulated pressure after useful work happened.
         pub fn reset(&mut self) {
             self.spins = 0;
+        }
+
+        /// True once the spin phase is over: further waiting should
+        /// park (or, under the watchdog, yield) rather than spin.
+        pub fn is_completed(&self) -> bool {
+            self.spins >= Self::SPIN_LIMIT
         }
     }
 
@@ -1670,6 +1844,66 @@ mod tests {
         assert_eq!(run.verdicts.len(), corpus.len());
     }
 
+    /// CPU time (user + sys) consumed by the calling thread, in ns, read
+    /// from `clock_gettime(CLOCK_THREAD_CPUTIME_ID)` in the C library std
+    /// already links (Linux constants and `timespec` layout).
+    #[cfg(target_os = "linux")]
+    fn thread_cpu_ns() -> u64 {
+        use std::os::raw::{c_int, c_long};
+        #[repr(C)]
+        struct Timespec {
+            tv_sec: i64,
+            tv_nsec: c_long,
+        }
+        extern "C" {
+            fn clock_gettime(clock: c_int, ts: *mut Timespec) -> c_int;
+        }
+        const CLOCK_THREAD_CPUTIME_ID: c_int = 3;
+        let mut ts = Timespec {
+            tv_sec: 0,
+            tv_nsec: 0,
+        };
+        // SAFETY: `ts` is a valid, writable timespec and the clock id is
+        // Linux's calling-thread CPU clock.
+        let rc = unsafe { clock_gettime(CLOCK_THREAD_CPUTIME_ID, &mut ts) };
+        assert_eq!(rc, 0, "clock_gettime(CLOCK_THREAD_CPUTIME_ID) failed");
+        ts.tv_sec as u64 * 1_000_000_000 + ts.tv_nsec as u64
+    }
+
+    /// With the worker as the bottleneck, the dispatcher (the calling
+    /// thread) parks on the full ring instead of spinning: its CPU time
+    /// over the run stays below half the run's wall time. A dispatcher
+    /// that spins or yields while the worker scores on another core uses
+    /// about all of it.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn shard_dispatcher_sleeps_while_worker_scores() {
+        let clap = model();
+        let corpus = traffic_gen::dataset(880, 60);
+        let stream = interleave(&corpus);
+        let mut config = cfg(1);
+        config.queue_capacity = 64;
+        let scorer = clap.sharded_scorer_with(config);
+        let cpu0 = thread_cpu_ns();
+        let t0 = std::time::Instant::now();
+        let run = scorer
+            .try_score_stream(stream.iter().copied())
+            .expect("fault-free runs succeed");
+        let wall_ns = t0.elapsed().as_nanos() as u64;
+        let cpu_ns = thread_cpu_ns() - cpu0;
+        assert_eq!(run.stats[0].packets as usize, stream.len());
+        assert!(
+            run.stats[0].full_waits > 0,
+            "test premise: the worker is the bottleneck and the ring fills"
+        );
+        assert!(
+            cpu_ns * 2 < wall_ns,
+            "dispatcher used {:.1} ms of CPU in a {:.1} ms run",
+            cpu_ns as f64 / 1e6,
+            wall_ns as f64 / 1e6
+        );
+    }
+
     /// An injected scoring panic quarantines exactly that packet,
     /// restarts the shard, and the run still completes with exact
     /// accounting.
@@ -1829,6 +2063,48 @@ mod tests {
         assert!(st.dropped >= 1, "the watchdog shed at least one packet");
         assert_eq!(st.quarantined, 0);
         assert_accounting(&err.partial.stats);
+    }
+
+    /// A worker that dies with its ring full never wakes the dispatcher
+    /// parked on that ring; the park timeout bounds the wait and the push
+    /// still reports `WorkerDead`. The stand-in worker (this thread) pops
+    /// nothing but beats its heartbeat until it "exits", so the
+    /// dispatcher keeps parking right up to the death instead of falling
+    /// back to the watchdog's spin/yield wait.
+    #[test]
+    fn fault_dead_worker_with_full_ring_ends_parked_push() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        use std::time::Instant;
+        let ring = Arc::new(spsc::Ring::new(2));
+        ring.try_push(0u32).unwrap();
+        ring.try_push(1).unwrap();
+        let cells = Arc::new(WorkerCells::default());
+        let exited = Arc::new(AtomicBool::new(false));
+        let (tx, rx) = std::sync::mpsc::channel();
+        // A plain thread, not a scope: if the push never returned, a
+        // scope would hang the test instead of failing it.
+        let dispatcher = std::thread::spawn({
+            let (ring, cells, exited) =
+                (Arc::clone(&ring), Arc::clone(&cells), Arc::clone(&exited));
+            move || {
+                let outcome =
+                    blocking_push(&ring, || exited.load(Ordering::Acquire), &cells, 1 << 26, 2);
+                tx.send(matches!(outcome, PushOutcome::WorkerDead))
+                    .expect("the test waits for the outcome");
+            }
+        });
+        let t0 = Instant::now();
+        while t0.elapsed() < Duration::from_millis(20) {
+            cells.beat();
+            std::thread::sleep(Duration::from_micros(100));
+        }
+        exited.store(true, Ordering::Release);
+        let dead = rx
+            .recv_timeout(Duration::from_secs(5))
+            .expect("the park timeout must bound the parked dispatcher's wait");
+        assert!(dead, "a finished worker with a full ring is WorkerDead");
+        dispatcher.join().expect("dispatcher thread");
+        assert_eq!(ring.len(), 2, "nothing was pushed past the full ring");
     }
 
     /// Under `DropNewest` with a deterministic forced burst, exactly the

@@ -721,6 +721,79 @@ proptest! {
             "every pushed item must arrive exactly once, in order"
         );
     }
+
+    /// The parking waits at both ends of an `spsc::Ring` never lose a
+    /// wakeup. The producer parks on every full ring and the consumer on
+    /// every empty one, each with a timeout far beyond any scheduling
+    /// delay, so a park that runs its whole timeout means a wake was
+    /// lost. Every item must still arrive exactly once, in order. A
+    /// pause before the close gives the consumer time to park on the
+    /// drained ring, so the close has to wake it.
+    #[test]
+    fn shard_spsc_parking_never_loses_a_wakeup(
+        capacity in 1usize..=8,
+        sent in 0usize..400,
+        consumer_delay_spins in 0u32..64,
+        close_delay_us in 0u64..200,
+    ) {
+        use clap_core::shard::spsc::Ring;
+        use std::time::{Duration, Instant};
+        const TIMEOUT: Duration = Duration::from_secs(5);
+        let ring: Ring<usize> = Ring::new(capacity);
+        let (seen, consumer_longest, producer_longest) = std::thread::scope(|s| {
+            let consumer = s.spawn(|| {
+                for _ in 0..consumer_delay_spins {
+                    std::hint::spin_loop();
+                }
+                let mut seen = Vec::new();
+                let mut longest = Duration::ZERO;
+                loop {
+                    while let Some(v) = ring.try_pop() {
+                        ring.wake_producer();
+                        seen.push(v);
+                    }
+                    if ring.is_closed() {
+                        while let Some(v) = ring.try_pop() {
+                            seen.push(v);
+                        }
+                        break;
+                    }
+                    let t = Instant::now();
+                    ring.park_consumer(TIMEOUT);
+                    longest = longest.max(t.elapsed());
+                }
+                (seen, longest)
+            });
+            let mut longest = Duration::ZERO;
+            for v in 0..sent {
+                let mut item = v;
+                while let Err(back) = ring.try_push(item) {
+                    item = back;
+                    let t = Instant::now();
+                    ring.park_producer(TIMEOUT);
+                    longest = longest.max(t.elapsed());
+                }
+                ring.wake_consumer();
+            }
+            std::thread::sleep(Duration::from_micros(close_delay_us));
+            ring.close();
+            let (seen, consumer_longest) = consumer.join().unwrap();
+            (seen, consumer_longest, longest)
+        });
+        prop_assert_eq!(
+            seen,
+            (0..sent).collect::<Vec<_>>(),
+            "every pushed item must arrive exactly once, in order"
+        );
+        prop_assert!(
+            producer_longest < TIMEOUT,
+            "a producer park ran its whole timeout: lost wakeup"
+        );
+        prop_assert!(
+            consumer_longest < TIMEOUT,
+            "a consumer park ran its whole timeout: lost wakeup"
+        );
+    }
 }
 
 /// Canonicalizes a verdict list into a deterministic, comparable set:

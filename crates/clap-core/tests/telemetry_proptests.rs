@@ -11,7 +11,7 @@ use clap_core::{
 };
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Barrier, OnceLock};
 
 /// One trained detector shared across property cases (training dominates
 /// runtime; per-case work is scoring only).
@@ -76,8 +76,12 @@ proptest! {
         let hub = scorer.telemetry();
 
         let stop = AtomicBool::new(false);
+        // The run starts only once the sampler is running: a short run
+        // could otherwise finish before the sampler thread is scheduled.
+        let started = Barrier::new(2);
         let (run, samples) = std::thread::scope(|s| {
             let sampler = s.spawn(|| {
+                started.wait();
                 let mut taken = 0u64;
                 let mut prev: Option<TelemetrySnapshot> = None;
                 while !stop.load(Ordering::Relaxed) {
@@ -91,6 +95,7 @@ proptest! {
                 }
                 Ok::<u64, String>(taken)
             });
+            started.wait();
             let run = scorer
                 .try_score_stream(stream.iter())
                 .expect("recoverable faults must not fail the run");
